@@ -1,6 +1,6 @@
 //! Hot-path sweep benchmark: one full orthogonalization sweep of a
 //! 128×128 functional workload per iteration, for the frozen baseline
-//! and the optimized serial/parallel pipelines (the `repro -- hotpath`
+//! and the optimized pipeline (the `repro -- hotpath`
 //! emitter measures the 256×256 acceptance workload; this target keeps
 //! `cargo bench --bench hotpath` fast enough for CI smoke runs).
 
@@ -17,15 +17,7 @@ fn bench_sweep_variants(c: &mut Criterion) {
         b.iter(|| black_box(hotpath::sweep_baseline(N, P_ENG, 1).expect("baseline sweep")))
     });
     group.bench_function("optimized-serial", |b| {
-        b.iter(|| black_box(hotpath::sweep_optimized(N, P_ENG, 1, 1).expect("serial sweep")))
-    });
-    group.bench_function("optimized-parallel", |b| {
-        b.iter(|| {
-            black_box(
-                hotpath::sweep_optimized(N, P_ENG, svd_kernels::parallel::available_workers(), 1)
-                    .expect("parallel sweep"),
-            )
-        })
+        b.iter(|| black_box(hotpath::sweep_optimized(N, P_ENG, 1).expect("serial sweep")))
     });
     group.finish();
 }

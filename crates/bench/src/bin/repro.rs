@@ -652,36 +652,19 @@ fn run_hotpath(quick: bool) {
         }
     };
     println!(
-        "{:>20} | {:>12} {:>12} {:>12} {:>8} | {:>18}",
-        "variant", "ns/pass", "sweeps/s", "allocs/pass", "workers", "checksum"
+        "{:>20} | {:>12} {:>12} {:>12} | {:>18}",
+        "variant", "ns/pass", "sweeps/s", "allocs/pass", "checksum"
     );
     for r in &report.results {
         println!(
-            "{:>20} | {:>12.0} {:>12.3} {:>12.2} {:>8} | {:>18.6}",
-            r.variant,
-            r.ns_per_pass,
-            r.sweeps_per_sec,
-            r.allocations_per_pass,
-            r.workers,
-            r.checksum
+            "{:>20} | {:>12.0} {:>12.3} {:>12.2} | {:>18.6}",
+            r.variant, r.ns_per_pass, r.sweeps_per_sec, r.allocations_per_pass, r.checksum
         );
     }
     println!(
-        "speedup vs baseline: {:.2}x serial, {} parallel ({} passes/sweep, {} measured sweeps)",
-        report.speedup_serial,
-        report
-            .speedup_parallel
-            .map_or_else(|| report.parallel_status.clone(), |s| format!("{s:.2}x")),
-        report.passes_per_sweep,
-        report.measured_sweeps
+        "speedup vs baseline: {:.2}x ({} passes/sweep, {} measured sweeps)",
+        report.speedup_serial, report.passes_per_sweep, report.measured_sweeps
     );
-    if report.parallel_auto_degraded {
-        println!(
-            "optimized-parallel skipped (degraded): host reports {} hardware thread(s), a \
-             one-worker pool is serial plus coordination overhead",
-            report.host_parallelism
-        );
-    }
     persist("hotpath", &report);
 
     // The emitter proper: BENCH_hotpath.json at the repo root seeds the

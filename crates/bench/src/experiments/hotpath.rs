@@ -1,7 +1,7 @@
 //! Hot-path microbenchmark: the orthogonalization sweep before and
 //! after the PR-2 optimizations.
 //!
-//! Three variants run the same functional workload (one full round-robin
+//! Two variants run the same functional workload (one full round-robin
 //! sweep over every block pair):
 //!
 //! * **baseline** — a frozen copy of the pre-optimization
@@ -9,16 +9,12 @@
 //!   `pair_columns` allocation, per-layer `pairs_by_slot` clones and
 //!   fresh scratch `Vec`s, and a private `Placement::plan` per pipeline.
 //! * **optimized-serial** — the current pipeline (hoisted scratch,
-//!   chunked 8-lane kernels, shared [`heterosvd::PlanHandle`]) with
-//!   `functional_parallelism = 1`.
-//! * **optimized-parallel** — the same pipeline driving a
-//!   [`svd_kernels::parallel::RotationPool`].
+//!   chunked 8-lane kernels, shared [`heterosvd::PlanHandle`]).
 //!
 //! Reported per variant: mean ns per block-pair pass, full sweeps per
 //! second, heap allocations per pass (from a counting allocator the
 //! calling binary installs), and a matrix checksum after the measured
-//! sweeps — the serial and parallel optimized variants must agree on
-//! it bit for bit.
+//! sweeps.
 
 use heterosvd::orth_pipeline::OrthPipeline;
 use heterosvd::{HeteroSvdConfig, HeteroSvdError, Placement, PlanHandle, PlioPlan};
@@ -34,7 +30,6 @@ use aie_sim::stats::SimStats;
 use aie_sim::time::TimePs;
 use aie_sim::timeline::Timeline;
 use svd_kernels::block::{BlockPairSchedule, BlockPartition};
-use svd_kernels::parallel::with_pool;
 use svd_kernels::rotation::orthogonalize_pair_gated_scalar;
 use svd_kernels::Matrix;
 use svd_orderings::movement::{classify, AccessKind, Movement};
@@ -88,7 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// One measured variant of the sweep hot path.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HotpathRow {
-    /// `baseline`, `optimized-serial`, or `optimized-parallel`.
+    /// `baseline` or `optimized-serial`.
     pub variant: String,
     /// Mean wall-clock nanoseconds per block-pair pass.
     pub ns_per_pass: f64,
@@ -96,11 +91,8 @@ pub struct HotpathRow {
     pub sweeps_per_sec: f64,
     /// Heap allocations per pass during the measured sweeps.
     pub allocations_per_pass: f64,
-    /// Sum of all matrix entries after the measured sweeps (bit-exact
-    /// agreement expected between the two optimized variants).
+    /// Sum of all matrix entries after the measured sweeps.
     pub checksum: f64,
-    /// Rotation-pool workers used (1 for the serial variants).
-    pub workers: usize,
 }
 
 /// The complete hot-path report (serialized to `BENCH_hotpath.json`).
@@ -114,25 +106,10 @@ pub struct HotpathReport {
     pub passes_per_sweep: usize,
     /// Measured sweeps per variant (after one warm-up sweep).
     pub measured_sweeps: usize,
-    /// One row per measured variant (the parallel row is absent when
-    /// the host degrades it, see [`Self::parallel_status`]).
+    /// One row per measured variant.
     pub results: Vec<HotpathRow>,
     /// `baseline.ns_per_pass / optimized-serial.ns_per_pass`.
     pub speedup_serial: f64,
-    /// `baseline.ns_per_pass / optimized-parallel.ns_per_pass`, or
-    /// `None` when the variant was skipped as degraded.
-    pub speedup_parallel: Option<f64>,
-    /// `"measured"`, or `"degraded"` when `functional_parallelism`
-    /// auto-degrades to one worker (single-hardware-thread host). A
-    /// degraded pool is the serial path plus coordination overhead
-    /// (measured ~1.7x *slower* than serial), so the variant is skipped
-    /// rather than published as a parallel number.
-    pub parallel_status: String,
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    pub host_parallelism: usize,
-    /// Whether `functional_parallelism` was auto-degraded to serial
-    /// because the host has a single hardware thread.
-    pub parallel_auto_degraded: bool,
 }
 
 fn test_matrix(n: usize) -> Matrix<f32> {
@@ -145,15 +122,14 @@ fn checksum(b: &Matrix<f32>) -> f64 {
     b.as_slice().iter().map(|&x| x as f64).sum()
 }
 
-fn config(n: usize, p_eng: usize, workers: usize) -> Result<HeteroSvdConfig, HeteroSvdError> {
+fn config(n: usize, p_eng: usize) -> Result<HeteroSvdConfig, HeteroSvdError> {
     HeteroSvdConfig::builder(n, n)
         .engine_parallelism(p_eng)
-        .functional_parallelism(workers)
         .pl_freq_mhz(208.3)
         .build()
 }
 
-/// Measures all three variants on an `n×n` functional workload and
+/// Measures both variants on an `n×n` functional workload and
 /// returns the report. `alloc_count` reads the calling binary's
 /// [`CountingAllocator`] (pass `&|| 0` to skip allocation accounting).
 pub fn run(
@@ -163,7 +139,7 @@ pub fn run(
     alloc_count: &dyn Fn() -> u64,
 ) -> Result<HotpathReport, HeteroSvdError> {
     assert!(measured_sweeps > 0, "need at least one measured sweep");
-    let cfg_serial = config(n, p_eng, 1)?;
+    let cfg = config(n, p_eng)?;
     let passes_per_sweep = {
         let p = BlockPartition::new(n, p_eng)
             .expect("validated")
@@ -171,12 +147,12 @@ pub fn run(
         BlockPairSchedule::round_robin(p).iter().count()
     };
 
-    let mut results = Vec::with_capacity(3);
+    let mut results = Vec::with_capacity(2);
 
     // ---- Baseline: frozen pre-optimization pipeline. ----
     {
-        let placement = Placement::plan(&cfg_serial)?;
-        let mut pipe = BaselinePipeline::new(&cfg_serial, &placement);
+        let placement = Placement::plan(&cfg)?;
+        let mut pipe = BaselinePipeline::new(&cfg, &placement);
         let mut b = test_matrix(n);
         pipe.set_norm_floor_sq(b.column_norm_floor_sq());
         pipe.run_iteration(&mut b); // warm-up
@@ -193,14 +169,13 @@ pub fn run(
             passes_per_sweep,
             alloc_count() - allocs_before,
             checksum(&b),
-            1,
         ));
     }
 
     // ---- Optimized serial. ----
     {
-        let plan = PlanHandle::build(&cfg_serial)?;
-        let mut pipe = OrthPipeline::new(&cfg_serial, &plan);
+        let plan = PlanHandle::build(&cfg)?;
+        let mut pipe = OrthPipeline::new(&cfg, &plan);
         let mut b = test_matrix(n);
         pipe.set_norm_floor_sq(b.column_norm_floor_sq());
         pipe.run_iteration(&mut b); // warm-up
@@ -217,38 +192,6 @@ pub fn run(
             passes_per_sweep,
             alloc_count() - allocs_before,
             checksum(&b),
-            1,
-        ));
-    }
-
-    // ---- Optimized parallel (skipped when degraded to one worker:
-    // a one-worker pool is the serial path plus coordination overhead,
-    // and publishing it as "parallel" misreads as a parallel speedup). ----
-    let cfg_parallel = config(n, p_eng, svd_kernels::parallel::available_workers())?;
-    let parallel_workers = cfg_parallel.effective_functional_workers();
-    let parallel_degraded = parallel_workers <= 1;
-    if !parallel_degraded {
-        let plan = PlanHandle::build(&cfg_parallel)?;
-        let mut pipe = OrthPipeline::new(&cfg_parallel, &plan);
-        let mut b = test_matrix(n);
-        pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-        let (elapsed, allocs) = with_pool(parallel_workers, |pool| {
-            pipe.run_iteration_with(&mut b, Some(pool)); // warm-up
-            let allocs_before = alloc_count();
-            let start = Instant::now();
-            for _ in 0..measured_sweeps {
-                pipe.run_iteration_with(&mut b, Some(pool));
-            }
-            (start.elapsed(), alloc_count() - allocs_before)
-        });
-        results.push(row(
-            "optimized-parallel",
-            elapsed,
-            measured_sweeps,
-            passes_per_sweep,
-            allocs,
-            checksum(&b),
-            parallel_workers,
         ));
     }
 
@@ -266,14 +209,6 @@ pub fn run(
         passes_per_sweep,
         measured_sweeps,
         speedup_serial: baseline_ns / serial_ns,
-        speedup_parallel: ns("optimized-parallel").map(|p| baseline_ns / p),
-        parallel_status: if parallel_degraded {
-            "degraded".to_string()
-        } else {
-            "measured".to_string()
-        },
-        host_parallelism: svd_kernels::parallel::available_workers(),
-        parallel_auto_degraded: parallel_degraded,
         results,
     })
 }
@@ -281,7 +216,7 @@ pub fn run(
 /// Runs `sweeps` frozen-baseline sweeps on a fresh `n×n` workload and
 /// returns the final matrix checksum (for `benches/hotpath.rs`).
 pub fn sweep_baseline(n: usize, p_eng: usize, sweeps: usize) -> Result<f64, HeteroSvdError> {
-    let cfg = config(n, p_eng, 1)?;
+    let cfg = config(n, p_eng)?;
     let placement = Placement::plan(&cfg)?;
     let mut pipe = BaselinePipeline::new(&cfg, &placement);
     let mut b = test_matrix(n);
@@ -292,30 +227,16 @@ pub fn sweep_baseline(n: usize, p_eng: usize, sweeps: usize) -> Result<f64, Hete
     Ok(checksum(&b))
 }
 
-/// Runs `sweeps` optimized sweeps (`workers = 1` for serial) on a fresh
-/// `n×n` workload and returns the final matrix checksum.
-pub fn sweep_optimized(
-    n: usize,
-    p_eng: usize,
-    workers: usize,
-    sweeps: usize,
-) -> Result<f64, HeteroSvdError> {
-    let cfg = config(n, p_eng, workers)?;
-    let workers = cfg.effective_functional_workers();
+/// Runs `sweeps` optimized sweeps on a fresh `n×n` workload and returns
+/// the final matrix checksum.
+pub fn sweep_optimized(n: usize, p_eng: usize, sweeps: usize) -> Result<f64, HeteroSvdError> {
+    let cfg = config(n, p_eng)?;
     let plan = PlanHandle::build(&cfg)?;
     let mut pipe = OrthPipeline::new(&cfg, &plan);
     let mut b = test_matrix(n);
     pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-    if workers > 1 {
-        with_pool(workers, |pool| {
-            for _ in 0..sweeps {
-                pipe.run_iteration_with(&mut b, Some(pool));
-            }
-        });
-    } else {
-        for _ in 0..sweeps {
-            pipe.run_iteration(&mut b);
-        }
+    for _ in 0..sweeps {
+        pipe.run_iteration(&mut b);
     }
     Ok(checksum(&b))
 }
@@ -327,7 +248,6 @@ fn row(
     passes_per_sweep: usize,
     allocations: u64,
     checksum: f64,
-    workers: usize,
 ) -> HotpathRow {
     let total_passes = (sweeps * passes_per_sweep) as f64;
     let secs = elapsed.as_secs_f64();
@@ -337,7 +257,6 @@ fn row(
         sweeps_per_sec: sweeps as f64 / secs,
         allocations_per_pass: allocations as f64 / total_passes,
         checksum,
-        workers,
     }
 }
 
@@ -551,14 +470,13 @@ impl<'a> BaselinePipeline<'a> {
 mod tests {
     use super::*;
 
-    /// The report is internally consistent on a small workload; on a
-    /// multi-core host the optimized serial and parallel variants agree
-    /// bit for bit, and on a single-thread host the parallel variant is
-    /// recorded as degraded instead of being measured.
+    /// The report is internally consistent on a small workload, and the
+    /// optimized variant's checksum matches a fresh optimized sweep.
     #[test]
     fn small_workload_report_is_consistent() {
         let report = run(32, 4, 2, &|| 0).unwrap();
         assert_eq!(report.n, 32);
+        assert_eq!(report.results.len(), 2);
         for r in &report.results {
             assert!(
                 r.ns_per_pass > 0.0,
@@ -568,34 +486,18 @@ mod tests {
             assert!(r.sweeps_per_sec > 0.0);
             assert!(r.checksum.is_finite());
         }
-        if report.parallel_auto_degraded {
-            assert_eq!(report.results.len(), 2, "degraded parallel must be skipped");
-            assert_eq!(report.parallel_status, "degraded");
-            assert!(report.speedup_parallel.is_none());
-            assert!(!report
-                .results
-                .iter()
-                .any(|r| r.variant == "optimized-parallel"));
-        } else {
-            assert_eq!(report.results.len(), 3);
-            assert_eq!(report.parallel_status, "measured");
-            assert!(report.speedup_parallel.is_some());
-            let serial = &report.results[1];
-            let parallel = &report.results[2];
-            assert!(parallel.workers > 1);
-            assert_eq!(
-                serial.checksum.to_bits(),
-                parallel.checksum.to_bits(),
-                "optimized serial and parallel sweeps must agree bit for bit"
-            );
-        }
+        assert_eq!(
+            report.results[1].checksum.to_bits(),
+            sweep_optimized(32, 4, 3).unwrap().to_bits(),
+            "warm-up plus two measured sweeps is three sweeps"
+        );
     }
 
     /// The frozen baseline converges like the real pipeline: sweeps
     /// drive columns toward orthogonality.
     #[test]
     fn baseline_pipeline_orthogonalizes() {
-        let cfg = config(16, 2, 1).unwrap();
+        let cfg = config(16, 2).unwrap();
         let placement = Placement::plan(&cfg).unwrap();
         let mut pipe = BaselinePipeline::new(&cfg, &placement);
         let mut b = test_matrix(16);

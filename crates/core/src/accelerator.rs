@@ -13,7 +13,6 @@ use aie_sim::stats::SimStats;
 use aie_sim::time::TimePs;
 use std::sync::Arc;
 use svd_kernels::jacobi::{SvdResult, SweepStats};
-use svd_kernels::parallel::{with_pool, RotationPool};
 use svd_kernels::{Matrix, SvdError};
 
 /// Sweep accounting of a warm-started run (see
@@ -147,10 +146,9 @@ impl Accelerator {
         self.run_owned(a.clone())
     }
 
-    /// Core driver: consumes the working copy `b` directly (no second
-    /// buffer), parallelizing functional rotations per the configured
-    /// [`HeteroSvdConfig::functional_parallelism`].
-    pub(crate) fn run_owned(&self, b: Matrix<f32>) -> Result<HeteroSvdOutput, HeteroSvdError> {
+    /// Core driver: runs the full Algorithm 1 on the working copy `b`,
+    /// consumed directly (no second buffer).
+    pub(crate) fn run_owned(&self, mut b: Matrix<f32>) -> Result<HeteroSvdOutput, HeteroSvdError> {
         let cfg = &self.config;
         if b.rows() != cfg.rows || b.cols() != cfg.cols {
             return Err(HeteroSvdError::InvalidConfig(format!(
@@ -164,23 +162,6 @@ impl Accelerator {
         if cfg.fidelity == FidelityMode::Functional && !b.is_finite() {
             return Err(HeteroSvdError::Numeric(SvdError::NonFinite));
         }
-        let workers = cfg.effective_functional_workers();
-        if workers > 1 {
-            with_pool(workers, |pool| self.run_inner(b, Some(pool)))
-        } else {
-            self.run_inner(b, None)
-        }
-    }
-
-    /// Runs the full Algorithm 1 on the working copy `b`, optionally
-    /// distributing each layer's rotations across `pool` (bit-identical
-    /// to the serial path by construction).
-    fn run_inner(
-        &self,
-        mut b: Matrix<f32>,
-        pool: Option<&RotationPool>,
-    ) -> Result<HeteroSvdOutput, HeteroSvdError> {
-        let cfg = &self.config;
         let mut stats = SimStats::new();
         let mut timing = TimingBreakdown::default();
 
@@ -216,7 +197,7 @@ impl Accelerator {
 
         while system.phase() == crate::pl_modules::Phase::Orthogonalizing {
             pipe.set_rotation_threshold(system.rotation_threshold());
-            let outcome = pipe.run_iteration_with(&mut b, pool);
+            let outcome = pipe.run_iteration(&mut b);
             orth_end = outcome.end;
             timing.iteration_ends.push(outcome.end);
             history.push(SweepStats {
@@ -370,9 +351,8 @@ impl Accelerator {
     /// Factorizes a batch of distinct matrices on the process-wide
     /// [`batch_pool`] (persistent bounded workers instead of one OS
     /// thread per matrix). The batch's *system time* follows Eq. (14) —
-    /// `⌈B / P_task⌉ · t_task` — or its §IV-C overlapped variant when
-    /// [`HeteroSvdConfig::cross_batch_pipelining`] is set; it is
-    /// returned alongside the outputs.
+    /// `⌈B / P_task⌉ · t_task` of the slowest member — and is returned
+    /// alongside the outputs.
     ///
     /// # Errors
     ///
@@ -416,11 +396,9 @@ impl Accelerator {
             .iter()
             .max_by_key(|o| o.timing.task_time)
             .expect("batch is non-empty");
-        let sys = slowest.timing.system_time_with(
-            num_tasks,
-            self.config.task_parallelism,
-            self.config.cross_batch_pipelining,
-        );
+        let sys = slowest
+            .timing
+            .system_time(num_tasks, self.config.task_parallelism);
         Ok((outputs, sys))
     }
 
@@ -440,8 +418,7 @@ impl Accelerator {
     /// Simulates a batch of `num_tasks` identical tasks: one task is
     /// simulated, then the system time follows Eq. (14)
     /// (`⌈num_tasks/P_task⌉ · t_task` — the `P_task` pipelines are
-    /// independent replicas), or its §IV-C overlapped variant when
-    /// [`HeteroSvdConfig::cross_batch_pipelining`] is set.
+    /// independent replicas).
     ///
     /// Returns the single-task output plus the batch system time.
     pub fn run_batch(
@@ -455,11 +432,9 @@ impl Accelerator {
             ));
         }
         let out = self.run(a)?;
-        let sys = out.timing.system_time_with(
-            num_tasks,
-            self.config.task_parallelism,
-            self.config.cross_batch_pipelining,
-        );
+        let sys = out
+            .timing
+            .system_time(num_tasks, self.config.task_parallelism);
         Ok((out, sys))
     }
 }
@@ -634,6 +609,28 @@ mod tests {
         // P_task = 1: four waves.
         assert_eq!(sys.0, outs[0].timing.task_time.0 * 4);
         assert!(acc.run_many(&[]).is_err());
+
+        // Plain Eq. 14 at P_task = 2: five tasks are ⌈5/2⌉ = 3 waves of
+        // the slowest member. A diagonal input converges in fewer sweeps
+        // than the dense ones, so "slowest" is a real choice here.
+        let acc = Accelerator::new(
+            HeteroSvdConfig::builder(16, 16)
+                .engine_parallelism(2)
+                .task_parallelism(2)
+                .pl_freq_mhz(208.3)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let diagonal = Matrix::from_fn(16, 16, |r, c| if r == c { 1.0 + r as f64 } else { 0.0 });
+        let mut mats: Vec<Matrix<f64>> =
+            (0..4).map(|i| sample(16).scaled(1.0 + i as f64)).collect();
+        mats.insert(2, diagonal);
+        let (outs, sys) = acc.run_many(&mats).unwrap();
+        let times: Vec<u64> = outs.iter().map(|o| o.timing.task_time.0).collect();
+        let slowest = *times.iter().max().unwrap();
+        assert!(times[2] < slowest, "task times {times:?}");
+        assert_eq!(sys.0, 3 * slowest);
     }
 
     fn warm_accel(n: usize, p_eng: usize) -> Accelerator {

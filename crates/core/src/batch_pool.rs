@@ -146,13 +146,18 @@ fn worker_main(jobs: Arc<Mutex<Receiver<Job>>>) {
     }
 }
 
+/// The host's reported parallelism, with a fallback of 1.
+fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// The process-wide pool every [`crate::Accelerator::run_many`] call
 /// shares, sized to the host's available parallelism.
 pub fn global() -> &'static BatchPool {
     static GLOBAL: OnceLock<BatchPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        BatchPool::new(svd_kernels::parallel::available_workers().clamp(1, MAX_BATCH_WORKERS))
-    })
+    GLOBAL.get_or_init(|| BatchPool::new(available_workers().clamp(1, MAX_BATCH_WORKERS)))
 }
 
 #[cfg(test)]

@@ -58,11 +58,6 @@ pub struct HeteroSvdConfig {
     /// Record a per-pass execution trace (see
     /// [`crate::orth_pipeline::PassRecord`]); off by default.
     pub record_trace: bool,
-    /// Worker threads applying a layer's independent column-pair
-    /// rotations in functional mode (default: the host's available
-    /// parallelism; `1` = fully serial). Results are bit-identical at
-    /// any setting; this knob only changes host-side wall-clock.
-    pub functional_parallelism: usize,
     /// Replay the plan's cached timing profile instead of re-simulating
     /// every `Timeline` (default on). Replay is exact by construction —
     /// the clock is data-independent and the profile is only used when
@@ -86,10 +81,6 @@ pub struct HeteroSvdConfig {
     /// to a build that predates the knob), so it is *not* part of the
     /// plan-cache fingerprint.
     pub incremental: bool,
-    /// Model §IV-C cross-batch pipelining in system-time projections:
-    /// after the first wave, each wave's DDR load overlaps the previous
-    /// wave's compute. Default off, preserving Eq. (14) exactness.
-    pub cross_batch_pipelining: bool,
     /// Co-residency class: how many tenant pipelines share the device's
     /// PL/NoC interfaces *concurrently* with this one (default 1 — the
     /// whole-array assumption every pre-packing plan made). Unlike
@@ -143,30 +134,6 @@ impl HeteroSvdConfig {
     pub fn geometry(&self) -> ArrayGeometry {
         self.device.geometry
     }
-
-    /// The worker-thread count the functional hot path actually uses:
-    /// capped at `P_eng` (a layer has at most `P_eng` independent
-    /// pairs), forced to 1 outside functional fidelity (timing-only
-    /// runs perform no rotations worth parallelizing), and auto-degraded
-    /// to the serial path on single-hardware-thread hosts.
-    pub fn effective_functional_workers(&self) -> usize {
-        self.effective_functional_workers_on(svd_kernels::parallel::available_workers())
-    }
-
-    /// [`HeteroSvdConfig::effective_functional_workers`] for a host
-    /// reporting `host_threads` hardware threads (factored out so the
-    /// degrade policy is testable on any machine). With one hardware
-    /// thread the `RotationPool` only adds claim/wake overhead while its
-    /// workers time-slice a single core — measurably slower than serial
-    /// (BENCH_hotpath.json) — so such hosts always get the serial path.
-    pub fn effective_functional_workers_on(&self, host_threads: usize) -> usize {
-        if self.fidelity != FidelityMode::Functional || host_threads <= 1 {
-            return 1;
-        }
-        self.functional_parallelism
-            .min(self.engine_parallelism)
-            .max(1)
-    }
 }
 
 /// Builder for [`HeteroSvdConfig`] (see [`HeteroSvdConfig::builder`]).
@@ -184,11 +151,9 @@ pub struct HeteroSvdConfigBuilder {
     fixed_iterations: Option<usize>,
     fidelity: FidelityMode,
     record_trace: bool,
-    functional_parallelism: Option<usize>,
     timing_replay: bool,
     adaptive_sweeps: bool,
     incremental: bool,
-    cross_batch_pipelining: bool,
     co_residency: usize,
     observability: bool,
     device: DeviceProfile,
@@ -210,11 +175,9 @@ impl HeteroSvdConfigBuilder {
             fixed_iterations: None,
             fidelity: FidelityMode::Functional,
             record_trace: false,
-            functional_parallelism: None,
             timing_replay: true,
             adaptive_sweeps: true,
             incremental: false,
-            cross_batch_pipelining: false,
             co_residency: 1,
             observability: true,
             device: DeviceProfile::VCK190,
@@ -285,14 +248,6 @@ impl HeteroSvdConfigBuilder {
         self
     }
 
-    /// Sets the host-side worker count for functional-mode rotations
-    /// (default: available parallelism; `1` = serial). Must be `>= 1`.
-    /// Any setting produces bit-identical results.
-    pub fn functional_parallelism(mut self, workers: usize) -> Self {
-        self.functional_parallelism = Some(workers);
-        self
-    }
-
     /// Enables or disables timing replay (default on). Disabling forces
     /// full `Timeline` re-simulation every run — useful for equivalence
     /// tests and for measuring what replay saves.
@@ -318,13 +273,6 @@ impl HeteroSvdConfigBuilder {
     /// today's path, and the knob never enters the plan-cache key.
     pub fn incremental(mut self, enabled: bool) -> Self {
         self.incremental = enabled;
-        self
-    }
-
-    /// Enables the §IV-C cross-batch pipelining overlap term in
-    /// system-time projections (default off: plain Eq. 14).
-    pub fn cross_batch_pipelining(mut self, enabled: bool) -> Self {
-        self.cross_batch_pipelining = enabled;
         self
     }
 
@@ -415,11 +363,6 @@ impl HeteroSvdConfigBuilder {
                 "fixed_iterations must be at least 1".into(),
             ));
         }
-        if let Some(0) = self.functional_parallelism {
-            return Err(HeteroSvdError::InvalidConfig(
-                "functional_parallelism must be at least 1".into(),
-            ));
-        }
         if self.co_residency == 0 {
             return Err(HeteroSvdError::InvalidConfig(
                 "co_residency must be at least 1".into(),
@@ -452,13 +395,9 @@ impl HeteroSvdConfigBuilder {
             fixed_iterations: self.fixed_iterations,
             fidelity: self.fidelity,
             record_trace: self.record_trace,
-            functional_parallelism: self
-                .functional_parallelism
-                .unwrap_or_else(svd_kernels::parallel::available_workers),
             timing_replay: self.timing_replay,
             adaptive_sweeps: self.adaptive_sweeps,
             incremental: self.incremental,
-            cross_batch_pipelining: self.cross_batch_pipelining,
             co_residency: self.co_residency,
             observability: self.observability,
             device: self.device,
@@ -556,70 +495,22 @@ mod tests {
     }
 
     #[test]
-    fn functional_parallelism_defaults_and_validates() {
-        let c = HeteroSvdConfig::builder(128, 128).build().unwrap();
-        assert!(c.functional_parallelism >= 1);
-        let c = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(3)
-            .build()
-            .unwrap();
-        assert_eq!(c.functional_parallelism, 3);
-        // Capped at P_eng = 4 for the effective count, never below 1.
-        assert_eq!(c.effective_functional_workers_on(8), 3);
-        let wide = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(64)
-            .build()
-            .unwrap();
-        assert_eq!(wide.effective_functional_workers_on(8), 4);
-        let timing = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(64)
-            .fidelity(FidelityMode::TimingOnly)
-            .fixed_iterations(6)
-            .build()
-            .unwrap();
-        assert_eq!(timing.effective_functional_workers_on(8), 1);
-        assert!(HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(0)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn single_thread_hosts_degrade_to_serial() {
-        let c = HeteroSvdConfig::builder(128, 128)
-            .functional_parallelism(4)
-            .build()
-            .unwrap();
-        // One hardware thread: the pool would only add overhead.
-        assert_eq!(c.effective_functional_workers_on(1), 1);
-        assert_eq!(c.effective_functional_workers_on(2), 4);
-        // The live query agrees with the pure policy for this host.
-        assert_eq!(
-            c.effective_functional_workers(),
-            c.effective_functional_workers_on(svd_kernels::parallel::available_workers())
-        );
-    }
-
-    #[test]
-    fn replay_and_pipelining_knobs_default_and_build() {
+    fn replay_and_engine_knobs_default_and_build() {
         let c = HeteroSvdConfig::builder(128, 128).build().unwrap();
         assert!(c.timing_replay);
         assert!(c.adaptive_sweeps);
         assert!(!c.incremental);
-        assert!(!c.cross_batch_pipelining);
         assert!(c.observability);
         let c = HeteroSvdConfig::builder(128, 128)
             .timing_replay(false)
             .adaptive_sweeps(false)
             .incremental(true)
-            .cross_batch_pipelining(true)
             .observability(false)
             .build()
             .unwrap();
         assert!(!c.timing_replay);
         assert!(!c.adaptive_sweeps);
         assert!(c.incremental);
-        assert!(c.cross_batch_pipelining);
         assert!(!c.observability);
     }
 

@@ -403,10 +403,8 @@ mod tests {
         let mut tweaked = base.clone();
         tweaked.precision = 1e-3;
         tweaked.record_trace = true;
-        tweaked.functional_parallelism = 8;
         tweaked.fixed_iterations = Some(3);
         tweaked.timing_replay = false;
-        tweaked.cross_batch_pipelining = true;
         tweaked.adaptive_sweeps = !base.adaptive_sweeps;
         tweaked.incremental = !base.incremental;
         let a = cache.get_or_build(&base).unwrap();

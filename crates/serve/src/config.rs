@@ -29,13 +29,6 @@ pub struct ServeConfig {
     pub task_parallelism: usize,
     /// Convergence precision forwarded to the accelerator.
     pub precision: f64,
-    /// Host-side worker threads each replica applies to a layer's
-    /// independent rotations (forwarded to
-    /// [`heterosvd::HeteroSvdConfig::functional_parallelism`]). Default
-    /// 1: replicas and per-matrix batch threads already parallelize
-    /// across requests, so nesting more threads usually oversubscribes.
-    /// Results are bit-identical at any setting.
-    pub functional_parallelism: usize,
     /// Fixed iteration count (None = adaptive convergence).
     pub fixed_iterations: Option<usize>,
     /// Whether replicas compute real factorizations or timing only.
@@ -45,11 +38,6 @@ pub struct ServeConfig {
     /// [`heterosvd::HeteroSvdConfig::timing_replay`]). Replay is exact,
     /// so this defaults on.
     pub timing_replay: bool,
-    /// Whether the Eq. (14) batch system time models §IV-C cross-batch
-    /// PL-pass pipelining between consecutive waves (forwarded to
-    /// [`heterosvd::HeteroSvdConfig::cross_batch_pipelining`]). Defaults
-    /// off to preserve Eq. (14) exactly.
-    pub cross_batch_pipelining: bool,
     /// Deadline applied to requests submitted without an explicit one.
     pub default_timeout: Option<Duration>,
     /// Whether the service and its replicas emit observability data:
@@ -162,11 +150,9 @@ impl Default for ServeConfig {
             engine_parallelism: 2,
             task_parallelism: 4,
             precision: 1e-6,
-            functional_parallelism: 1,
             fixed_iterations: None,
             fidelity: FidelityMode::Functional,
             timing_replay: true,
-            cross_batch_pipelining: false,
             default_timeout: None,
             observability: true,
             metrics_scrape_interval: None,
@@ -216,11 +202,6 @@ impl ServeConfig {
         if self.task_parallelism == 0 {
             return Err(ServeError::InvalidRequest(
                 "task_parallelism must be >= 1".into(),
-            ));
-        }
-        if self.functional_parallelism == 0 {
-            return Err(ServeError::InvalidRequest(
-                "functional_parallelism must be >= 1".into(),
             ));
         }
         if self.factor_store_bytes == 0 {
@@ -412,10 +393,8 @@ impl ServeConfig {
             .task_parallelism(task_parallelism)
             .co_residency(co_residency)
             .precision(self.precision)
-            .functional_parallelism(self.functional_parallelism)
             .fidelity(self.fidelity)
             .timing_replay(self.timing_replay)
-            .cross_batch_pipelining(self.cross_batch_pipelining)
             .observability(self.observability)
             .incremental(self.incremental);
         if let Some(iters) = self.fixed_iterations {

@@ -322,7 +322,8 @@ impl SvdService {
     /// # Errors
     ///
     /// * [`ServeError::InvalidRequest`] — the shape violates the replica
-    ///   constraints ([`ServeConfig::check_shape`]).
+    ///   constraints ([`ServeConfig::check_shape`]), or an entry is
+    ///   non-finite after the `f32` cast.
     /// * [`ServeError::QueueFull`] — backpressure; retry later.
     /// * [`ServeError::ShuttingDown`] — the service no longer admits.
     pub fn try_submit_with(
@@ -480,8 +481,8 @@ impl SvdService {
     /// # Errors
     ///
     /// * [`ServeError::InvalidRequest`] — [`ServeConfig::incremental`]
-    ///   is off, the shape violates the replica constraints, or the
-    ///   matrix contains non-finite values.
+    ///   is off, the shape violates the replica constraints, or an entry
+    ///   is non-finite after the `f32` cast.
     /// * [`ServeError::QueueFull`] / [`ServeError::ShuttingDown`] — as
     ///   for decompose submission.
     pub fn try_submit_update_with(
@@ -513,7 +514,10 @@ impl SvdService {
         // Cast to the device's native f32 once, at admission (the
         // fingerprint and classification run on exactly the bits the
         // solve will see).
-        let matrix = matrix.cast::<f32>();
+        let matrix = match cast_finite(&matrix) {
+            Ok(matrix) => matrix,
+            Err(e) => return reject(e),
+        };
         let entry = inner.factor_cache.get(client);
         let class = match entry.as_deref() {
             Some(cached) => {
@@ -570,19 +574,27 @@ impl SvdService {
         if inner.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        if let Err(e) = inner.config.check_shape(matrix.rows(), matrix.cols()) {
-            inner
-                .metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
+        let shape = (matrix.rows(), matrix.cols());
+        // Cast to the device's native f32 once, here: the request queues
+        // at half the memory and the replica moves the data straight into
+        // the accelerator with no further conversion.
+        let matrix = match inner
+            .config
+            .check_shape(shape.0, shape.1)
+            .and_then(|()| cast_finite(&matrix))
+        {
+            Ok(matrix) => matrix,
+            Err(e) => {
+                inner
+                    .metrics
+                    .rejected_invalid
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(e);
+            }
+        };
         let payload = Payload::Decompose {
-            shape: (matrix.rows(), matrix.cols()),
-            // Cast to the device's native f32 once, here: the request
-            // queues at half the memory and the replica moves the data
-            // straight into the accelerator with no further conversion.
-            matrix: matrix.cast::<f32>(),
+            shape,
+            matrix,
             publish,
         };
         let (id, state) = self.admit(payload, options, poison)?;
@@ -1572,6 +1584,21 @@ fn plan_wave_placement(
         .collect::<Option<Vec<_>>>()?;
     heterosvd::assign_tenant_lanes(tenants, config.device.budget.plio).ok()?;
     Some(stripes)
+}
+
+/// Casts an admitted matrix to the device's `f32` and refuses it when any
+/// entry is non-finite afterwards: NaN or ±inf in the input, or a finite
+/// `f64` beyond `f32::MAX` that the cast turns into ±inf. Refusing at the
+/// door keeps one bad request from failing its whole batch.
+fn cast_finite(matrix: &Matrix<f64>) -> Result<Matrix<f32>, ServeError> {
+    let cast = matrix.cast::<f32>();
+    if cast.is_finite() {
+        Ok(cast)
+    } else {
+        Err(ServeError::InvalidRequest(
+            "matrix has a non-finite entry after the f32 cast".into(),
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,6 @@ pub mod incremental;
 pub mod io;
 pub mod jacobi;
 pub mod matrix;
-pub mod parallel;
 pub mod qr;
 pub mod rotation;
 pub mod scalar;

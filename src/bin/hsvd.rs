@@ -89,9 +89,6 @@ fn usage() -> &'static str {
        --linger-us U       batcher linger budget in µs (default 500)\n\
        --p-eng K           engine parallelism per replica (default 2)\n\
        --p-task T          task parallelism per replica (default 4)\n\
-       --fn-par N          host threads per functional orth-layer\n\
-     \x20                   (default 1 = serial; results are bit-identical\n\
-     \x20                   for any setting)\n\
        --timing-only       skip numerics (timing model, 6 fixed sweeps;\n\
      \x20                   incompatible with --apply-ratio)\n\
        --shape RxC         fix every request to one RxC shape (default:\n\
@@ -346,7 +343,6 @@ struct BenchArgs {
     linger_us: u64,
     p_eng: usize,
     p_task: usize,
-    functional_parallelism: usize,
     timing_only: bool,
     shape: Option<(usize, usize)>,
     apply_ratio: f64,
@@ -390,7 +386,6 @@ fn parse_bench_args(mut cursor: ArgCursor) -> Result<BenchArgs, String> {
         linger_us: 500,
         p_eng: 2,
         p_task: 4,
-        functional_parallelism: 1,
         timing_only: false,
         shape: None,
         apply_ratio: 0.0,
@@ -417,7 +412,6 @@ fn parse_bench_args(mut cursor: ArgCursor) -> Result<BenchArgs, String> {
             "--linger-us" => args.linger_us = cursor.parse("--linger-us")?,
             "--p-eng" => args.p_eng = cursor.parse("--p-eng")?,
             "--p-task" => args.p_task = cursor.parse("--p-task")?,
-            "--fn-par" => args.functional_parallelism = cursor.parse("--fn-par")?,
             "--timing-only" => args.timing_only = true,
             "--shape" => args.shape = Some(parse_shape(&cursor.value("--shape")?)?),
             "--apply-ratio" => args.apply_ratio = cursor.parse("--apply-ratio")?,
@@ -560,7 +554,6 @@ fn cmd_serve_bench(cursor: ArgCursor) -> Result<(), String> {
         max_linger: Duration::from_micros(args.linger_us),
         engine_parallelism: args.p_eng,
         task_parallelism: args.p_task,
-        functional_parallelism: args.functional_parallelism,
         fidelity: if args.timing_only {
             FidelityMode::TimingOnly
         } else {
@@ -1290,7 +1283,11 @@ mod tests {
 
     #[test]
     fn unknown_options_are_rejected() {
-        let err = bench(&["--bogus"]).unwrap_err();
-        assert!(err.contains("unknown option --bogus"), "{err}");
+        // `--fn-par` was a serve-bench flag once; stale scripts must fail.
+        for args in [&["--bogus"][..], &["--fn-par", "2"]] {
+            let err = bench(args).unwrap_err();
+            let flag = args[0];
+            assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        }
     }
 }
