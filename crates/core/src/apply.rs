@@ -20,8 +20,10 @@
 //! Batches of applies share the array via the Eq. 14 system time
 //! `⌈B / P_task⌉ · t_apply`. Like decompose timing, the apply timeline
 //! is a pure function of `(m, n, r, P_eng, calibration, PL frequency)`,
-//! so a [`ApplyProfileCache`] memoizes one probe per shape and replays
-//! it for every steady-state apply — O(1) instead of O(r·(m + n)).
+//! so a [`ApplyProfileCache`] (a typed wrapper over the shared LRU
+//! primitive [`svd_kernels::lru::ByteLru`]) memoizes one probe per shape
+//! and replays it for every steady-state apply — O(1) instead of
+//! O(r·(m + n)).
 
 use crate::HeteroSvdError;
 use aie_sim::calibration::Calibration;
@@ -30,9 +32,10 @@ use aie_sim::plio::PlioModel;
 use aie_sim::stats::SimStats;
 use aie_sim::time::{Frequency, TimePs};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+use svd_kernels::lru::ByteLru;
 
 /// The shape of one rank-r apply: factors of an m×n matrix truncated to
 /// rank r.
@@ -259,36 +262,19 @@ impl ApplyProfileKey {
     }
 }
 
-struct ProfileInner {
-    profiles: HashMap<ApplyProfileKey, (Arc<ApplyProfile>, u64)>,
-    probes: HashMap<ApplyProfileKey, u64>,
-    clock: u64,
-}
-
-/// LRU cache of apply profiles keyed per `(n, r, P_eng, calibration)`,
-/// mirroring [`crate::plan_cache::PlanCache`]: probe once, replay ever
-/// after.
+/// LRU cache of apply profiles keyed per `(n, r, P_eng, calibration)`:
+/// probe once, replay ever after. A typed wrapper over
+/// [`svd_kernels::lru::ByteLru`] where every profile weighs 1 and the
+/// budget is the capacity.
 pub struct ApplyProfileCache {
-    capacity: usize,
-    inner: Mutex<ProfileInner>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    evictions: std::sync::atomic::AtomicU64,
+    lru: ByteLru<ApplyProfileKey, ApplyProfile>,
 }
 
 impl ApplyProfileCache {
     /// Creates a cache retaining at most `capacity` profiles.
     pub fn new(capacity: usize) -> Self {
         ApplyProfileCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(ProfileInner {
-                profiles: HashMap::new(),
-                probes: HashMap::new(),
-                clock: 0,
-            }),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-            evictions: std::sync::atomic::AtomicU64::new(0),
+            lru: ByteLru::new(capacity.max(1)),
         }
     }
 
@@ -296,61 +282,31 @@ impl ApplyProfileCache {
     /// live simulation) on first use. Replays are exact: the probe is a
     /// pure function of the key.
     pub fn get_or_probe(&self, model: &ApplyModel, shape: ApplyShape) -> Arc<ApplyProfile> {
-        use std::sync::atomic::Ordering;
         let key = ApplyProfileKey::of(model, shape);
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some((profile, last_use)) = inner.profiles.get_mut(&key) {
-            *last_use = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(profile);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let profile = Arc::new(model.simulate(shape));
-        *inner.probes.entry(key).or_insert(0) += 1;
-        if inner.profiles.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .profiles
-                .iter()
-                .min_by_key(|(_, (_, last_use))| *last_use)
-                .map(|(k, _)| *k)
-            {
-                inner.profiles.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.profiles.insert(key, (Arc::clone(&profile), stamp));
-        profile
+        self.lru
+            .get_or_try_insert_with(key, || Ok((model.simulate(shape), 1)))
+            .unwrap_or_else(|never: Infallible| match never {})
     }
 
     /// How many profiles are resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().profiles.len()
+        self.lru.len()
     }
 
     /// `true` when no profiles are cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
     /// How many live probes `model`-at-`shape` has triggered (0 = never
     /// probed, 1 = probed once and replayed since).
     pub fn probes_for(&self, model: &ApplyModel, shape: ApplyShape) -> u64 {
-        let key = ApplyProfileKey::of(model, shape);
-        *self.inner.lock().unwrap().probes.get(&key).unwrap_or(&0)
+        self.lru.inserts_of(&ApplyProfileKey::of(model, shape))
     }
 
     /// Counter snapshot for the metrics path.
     pub fn stats(&self) -> crate::plan_cache::CacheStats {
-        use std::sync::atomic::Ordering;
-        crate::plan_cache::CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident: self.len() as u64,
-            capacity: self.capacity as u64,
-        }
+        self.lru.stats().into()
     }
 }
 
@@ -467,21 +423,6 @@ mod tests {
             s,
         );
         assert!(Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn profile_cache_evicts_lru() {
-        let cache = ApplyProfileCache::new(2);
-        let m = model(2);
-        cache.get_or_probe(&m, shape(64, 32, 4));
-        cache.get_or_probe(&m, shape(128, 64, 8));
-        cache.get_or_probe(&m, shape(64, 32, 4)); // touch first
-        cache.get_or_probe(&m, shape(256, 128, 16)); // evicts second
-        assert_eq!(cache.len(), 2);
-        cache.get_or_probe(&m, shape(128, 64, 8));
-        assert_eq!(cache.probes_for(&m, shape(128, 64, 8)), 2);
-        assert_eq!(cache.probes_for(&m, shape(64, 32, 4)), 1);
-        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! immutable object that every pipeline instance borrows, and
 //! [`PlanCache`] shares those objects across accelerator instances:
 //! a serving pool that clones one accelerator per replica now plans
-//! once instead of once per worker.
+//! once instead of once per worker. The cache is a typed wrapper over
+//! the shared LRU primitive [`svd_kernels::lru::ByteLru`].
 //!
 //! The cache key is `(shape, fingerprint)` where the fingerprint hashes
 //! exactly the config fields a plan depends on (`P_eng`, `P_task`, the
@@ -29,11 +30,10 @@ use aie_sim::kernel::KernelCostModel;
 use aie_sim::pl::PlModel;
 use aie_sim::plio::PlioModel;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use svd_kernels::block::{BlockPairSchedule, BlockPartition};
+use svd_kernels::lru::{ByteLru, LruStats};
 use svd_orderings::movement::{classify, AccessKind, Movement};
 use svd_orderings::HardwareSchedule;
 
@@ -209,53 +209,47 @@ impl PlanKey {
     }
 }
 
-struct CacheInner {
-    /// Cached plans plus a monotonically increasing last-use stamp.
-    plans: HashMap<PlanKey, (Arc<PlanHandle>, u64)>,
-    /// Times each key's plan was (re)built — probe for tests asserting
-    /// that replicas share rather than re-plan.
-    builds: HashMap<PlanKey, u64>,
-    clock: u64,
-}
-
-/// Counter snapshot of a [`PlanCache`] (exported through the serving
-/// metrics report, satellite of the factor-store subsystem).
+/// Counter snapshot of a [`PlanCache`] or
+/// [`crate::apply::ApplyProfileCache`] (exported through the serving
+/// metrics report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to build a plan.
+    /// Lookups that had to build.
     pub misses: u64,
-    /// Plans dropped by the LRU policy.
+    /// Entries dropped by the LRU policy.
     pub evictions: u64,
-    /// Plans currently resident.
+    /// Entries currently resident.
     pub resident: u64,
     /// The configured capacity.
     pub capacity: u64,
 }
 
-/// A small LRU cache of [`PlanHandle`]s.
+impl From<LruStats> for CacheStats {
+    fn from(s: LruStats) -> Self {
+        CacheStats {
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            resident: s.resident,
+            capacity: s.budget,
+        }
+    }
+}
+
+/// A small LRU cache of [`PlanHandle`]s: a typed wrapper over
+/// [`svd_kernels::lru::ByteLru`] where every plan weighs 1 and the
+/// budget is the capacity.
 pub struct PlanCache {
-    capacity: usize,
-    inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: ByteLru<PlanKey, PlanHandle>,
 }
 
 impl PlanCache {
     /// Creates a cache retaining at most `capacity` plans.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(CacheInner {
-                plans: HashMap::new(),
-                builds: HashMap::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: ByteLru::new(capacity.max(1)),
         }
     }
 
@@ -270,31 +264,9 @@ impl PlanCache {
         &self,
         config: &HeteroSvdConfig,
     ) -> Result<Arc<PlanHandle>, HeteroSvdError> {
-        let key = PlanKey::of(config);
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some((plan, last_use)) = inner.plans.get_mut(&key) {
-            *last_use = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(PlanHandle::build(config)?);
-        *inner.builds.entry(key).or_insert(0) += 1;
-        if inner.plans.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .plans
-                .iter()
-                .min_by_key(|(_, (_, last_use))| *last_use)
-                .map(|(k, _)| *k)
-            {
-                inner.plans.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.plans.insert(key, (Arc::clone(&plan), stamp));
-        Ok(plan)
+        self.lru.get_or_try_insert_with(PlanKey::of(config), || {
+            PlanHandle::build(config).map(|plan| (plan, 1))
+        })
     }
 
     /// Builds (or retrieves) the plan for `config` and probes its
@@ -317,36 +289,28 @@ impl PlanCache {
     /// Whether `config`'s plan is already resident (no build, no LRU
     /// touch — a read-only probe for swap readiness).
     pub fn contains(&self, config: &HeteroSvdConfig) -> bool {
-        let key = PlanKey::of(config);
-        self.inner.lock().unwrap().plans.contains_key(&key)
+        self.lru.peek(&PlanKey::of(config)).is_some()
     }
 
     /// How many plans the cache currently retains.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().plans.len()
+        self.lru.len()
     }
 
     /// `true` when no plans are cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
     /// How many times `config`'s plan has been built by this cache
     /// (0 = never; 1 = planned once and shared since).
     pub fn builds_for(&self, config: &HeteroSvdConfig) -> u64 {
-        let key = PlanKey::of(config);
-        *self.inner.lock().unwrap().builds.get(&key).unwrap_or(&0)
+        self.lru.inserts_of(&PlanKey::of(config))
     }
 
     /// Counter snapshot for the metrics path.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident: self.len() as u64,
-            capacity: self.capacity as u64,
-        }
+        self.lru.stats().into()
     }
 }
 
@@ -436,24 +400,6 @@ mod tests {
         let b = cache.get_or_build(&packed).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn lru_evicts_beyond_capacity() {
-        let cache = PlanCache::new(2);
-        let a1 = cache.get_or_build(&config(16, 2)).unwrap();
-        cache.get_or_build(&config(32, 2)).unwrap();
-        // Touch the first so the second is the LRU victim.
-        cache.get_or_build(&config(16, 2)).unwrap();
-        cache.get_or_build(&config(48, 2)).unwrap();
-        assert_eq!(cache.len(), 2);
-        // First plan still shared (not rebuilt)...
-        let a2 = cache.get_or_build(&config(16, 2)).unwrap();
-        assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(cache.builds_for(&config(16, 2)), 1);
-        // ...while the evicted one rebuilds on next use.
-        cache.get_or_build(&config(32, 2)).unwrap();
-        assert_eq!(cache.builds_for(&config(32, 2)), 2);
     }
 
     #[test]

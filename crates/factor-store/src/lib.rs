@@ -12,7 +12,8 @@
 //! * **LRU byte-budget eviction** — the store charges each model its
 //!   factor payload ([`svd_kernels::TruncatedSvd::approx_bytes`]) and
 //!   evicts least-recently-used models when the total exceeds the
-//!   budget, mirroring the `PlanCache` idiom in `heterosvd::plan_cache`.
+//!   budget. The store is a typed wrapper over the shared LRU primitive
+//!   [`svd_kernels::lru::ByteLru`], which evicts in O(log n).
 //! * **Accuracy metadata** — every version carries the retained-energy
 //!   fraction and tail singular value of its truncation, so serving can
 //!   report how lossy each model's compression is.
@@ -22,9 +23,8 @@
 #![warn(missing_docs)]
 
 use serde::Serialize;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use svd_kernels::lru::ByteLru;
 use svd_kernels::TruncatedSvd;
 
 /// Identifier of a client model whose factors the store holds.
@@ -96,41 +96,15 @@ pub struct FactorStoreStats {
     pub hit_rate_window: f64,
 }
 
-struct StoreInner {
-    /// model id -> (latest published version, last-touch stamp).
-    models: HashMap<u64, (Arc<PublishedFactors>, u64)>,
-    /// Next version number per model; survives eviction.
-    next_version: HashMap<u64, u64>,
-    resident_bytes: usize,
-    clock: u64,
-}
-
 /// Thread-safe versioned store of truncated factors with LRU
-/// byte-budget eviction.
-///
-/// Lock discipline matches `heterosvd::plan_cache::PlanCache`: one std
-/// `Mutex` around the map, held only for map manipulation (factor
-/// payloads are `Arc`-shared, so gets are O(1) pointer clones and
-/// publishes never copy factor data under the lock).
+/// byte-budget eviction, a typed wrapper over
+/// [`svd_kernels::lru::ByteLru`] keyed by model id and weighted by
+/// factor payload bytes. Factor payloads are `Arc`-shared, so gets are
+/// O(1) pointer clones and publishes never copy factor data under the
+/// lock.
+#[derive(Debug)]
 pub struct FactorStore {
-    byte_budget: usize,
-    inner: Mutex<StoreInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    publishes: AtomicU64,
-    /// (hits, lookups) at the start of the current stats window.
-    window: Mutex<(u64, u64)>,
-}
-
-impl std::fmt::Debug for FactorStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("FactorStore")
-            .field("byte_budget", &self.byte_budget)
-            .field("stats", &stats)
-            .finish()
-    }
+    lru: ByteLru<u64, PublishedFactors>,
 }
 
 impl FactorStore {
@@ -141,18 +115,7 @@ impl FactorStore {
     /// just asked to serve would livelock the decompose-publish path.
     pub fn new(byte_budget: usize) -> Self {
         FactorStore {
-            byte_budget,
-            inner: Mutex::new(StoreInner {
-                models: HashMap::new(),
-                next_version: HashMap::new(),
-                resident_bytes: 0,
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            window: Mutex::new((0, 0)),
+            lru: ByteLru::new(byte_budget),
         }
     }
 
@@ -171,124 +134,52 @@ impl FactorStore {
             retained_energy: factors.retained_energy,
             bytes,
         };
-        let mut inner = self.inner.lock().expect("factor store poisoned");
-        let version = {
-            let slot = inner.next_version.entry(model.0).or_insert(1);
-            let v = *slot;
-            *slot += 1;
-            v
-        };
-        let published = Arc::new(PublishedFactors {
-            model,
-            version,
-            factors,
-            meta,
-        });
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some((old, _)) = inner
-            .models
-            .insert(model.0, (Arc::clone(&published), stamp))
-        {
-            inner.resident_bytes -= old.meta.bytes;
-        }
-        inner.resident_bytes += bytes;
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        while inner.resident_bytes > self.byte_budget && inner.models.len() > 1 {
-            let victim = inner
-                .models
-                .iter()
-                .filter(|(&id, _)| id != model.0)
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&id, _)| id);
-            match victim {
-                Some(id) => {
-                    if let Some((evicted, _)) = inner.models.remove(&id) {
-                        inner.resident_bytes -= evicted.meta.bytes;
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
-        }
-        published
+        self.lru.insert_with(model.0, |version| {
+            let published = PublishedFactors {
+                model,
+                version,
+                factors,
+                meta,
+            };
+            (published, bytes)
+        })
     }
 
     /// Looks up the latest resident version of `model`, bumping its LRU
     /// stamp. Returns `None` (a recorded miss) when the model was never
     /// published or has been evicted.
     pub fn get(&self, model: ModelId) -> Option<Arc<PublishedFactors>> {
-        let mut inner = self.inner.lock().expect("factor store poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.models.get_mut(&model.0) {
-            Some((published, last_used)) => {
-                *last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(published))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lru.get(&model.0)
     }
 
     /// Latest published version number of `model`, if resident.
     pub fn version_of(&self, model: ModelId) -> Option<u64> {
-        let inner = self.inner.lock().expect("factor store poisoned");
-        inner.models.get(&model.0).map(|(p, _)| p.version)
+        self.lru.peek(&model.0).map(|p| p.version)
     }
 
     /// Number of models currently resident.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("factor store poisoned")
-            .models
-            .len()
+        self.lru.len()
     }
 
     /// Whether the store holds no models.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
+        self.lru.is_empty()
     }
 
     /// Counter snapshot for the metrics path. Reading the snapshot
     /// closes the current hit-rate window and opens the next one.
     pub fn stats(&self) -> FactorStoreStats {
-        let (resident_bytes, resident_models) = {
-            let inner = self.inner.lock().expect("factor store poisoned");
-            (inner.resident_bytes as u64, inner.models.len() as u64)
-        };
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        let lookups = hits + misses;
-        let hit_rate_window = {
-            let mut window = self.window.lock().expect("factor store poisoned");
-            let (hits0, lookups0) = *window;
-            *window = (hits, lookups);
-            let delta = lookups.saturating_sub(lookups0);
-            if delta == 0 {
-                0.0
-            } else {
-                hits.saturating_sub(hits0) as f64 / delta as f64
-            }
-        };
+        let s = self.lru.stats();
         FactorStoreStats {
-            hits,
-            misses,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            resident_bytes,
-            resident_models,
-            byte_budget: self.byte_budget as u64,
-            hit_rate_window,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            publishes: s.inserts,
+            resident_bytes: s.resident_weight,
+            resident_models: s.resident,
+            byte_budget: s.budget,
+            hit_rate_window: s.hit_rate_window,
         }
     }
 }
@@ -358,88 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_not_most() {
-        let f = factors(8, 4, 2, 1);
-        let budget = 2 * f.approx_bytes();
-        let store = FactorStore::new(budget);
-        store.publish(ModelId(1), factors(8, 4, 2, 1));
-        store.publish(ModelId(2), factors(8, 4, 2, 2));
-        // Touch model 1 so model 2 is the LRU.
-        store.get(ModelId(1)).unwrap();
-        store.publish(ModelId(3), factors(8, 4, 2, 3));
-        assert!(store.get(ModelId(1)).is_some());
-        assert!(store.get(ModelId(2)).is_none(), "LRU model evicted");
-        assert!(store.get(ModelId(3)).is_some());
-        assert_eq!(store.stats().evictions, 1);
-    }
-
-    #[test]
-    fn just_published_model_is_never_evicted() {
-        let f = factors(32, 16, 8, 1); // bigger than the budget below
-        let store = FactorStore::new(16);
-        let published = store.publish(ModelId(5), f);
-        assert_eq!(store.get(ModelId(5)).unwrap().version, published.version);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn eviction_respects_byte_budget() {
-        let f = factors(8, 4, 2, 1);
-        let one = f.approx_bytes();
-        let store = FactorStore::new(3 * one);
-        for id in 0..8u64 {
-            store.publish(ModelId(id), factors(8, 4, 2, id));
-        }
-        let stats = store.stats();
-        assert!(stats.resident_bytes <= 3 * one as u64);
-        assert_eq!(stats.resident_models, 3);
-        assert_eq!(stats.evictions, 5);
-        // The most recent publishes survive.
-        assert!(store.get(ModelId(7)).is_some());
-        assert!(store.get(ModelId(0)).is_none());
-    }
-
-    #[test]
-    fn stats_window_tracks_recent_hit_rate() {
+    fn debug_output_leaves_the_hit_rate_window_open() {
         let store = FactorStore::new(1 << 20);
         store.publish(ModelId(1), factors(8, 4, 2, 1));
         store.get(ModelId(1)).unwrap(); // hit
+        let printed = format!("{store:?}");
+        assert!(printed.contains("hits: 1"), "{printed}");
         assert!(store.get(ModelId(2)).is_none()); // miss
-        let first = store.stats();
-        assert!((first.hit_rate_window - 0.5).abs() < 1e-12);
-        // The window restarts: an all-hit stretch reads 1.0 even though
-        // the lifetime rate is 3/4.
-        store.get(ModelId(1)).unwrap();
-        store.get(ModelId(1)).unwrap();
-        let second = store.stats();
-        assert!((second.hit_rate_window - 1.0).abs() < 1e-12);
-        assert_eq!((second.hits, second.misses), (3, 1));
-        // An empty window reads 0.0, not NaN.
-        assert_eq!(store.stats().hit_rate_window, 0.0);
-    }
-
-    #[test]
-    fn concurrent_gets_and_publishes_are_safe() {
-        let store = Arc::new(FactorStore::new(1 << 20));
-        store.publish(ModelId(0), factors(8, 4, 2, 0));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    if i % 10 == 0 {
-                        store.publish(ModelId(t), factors(8, 4, 2, t * 100 + i));
-                    }
-                    if let Some(p) = store.get(ModelId(t % 2)) {
-                        assert!(p.version >= 1);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = store.stats();
-        assert_eq!(stats.publishes, 1 + 4 * 5);
+        assert_eq!(store.stats().hit_rate_window, 0.5);
     }
 }

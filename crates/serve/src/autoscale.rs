@@ -92,6 +92,9 @@ impl Controller {
     }
 
     fn sample(inner: &Inner) -> Sample {
+        // totals (not stats()) keeps the scrape-owned hit-rate window
+        // untouched, and reads hits and misses from one snapshot.
+        let cache = inner.factor_cache.totals();
         Sample {
             shapes: inner
                 .metrics
@@ -99,10 +102,8 @@ impl Controller {
                 .into_iter()
                 .map(|t| ((t.rows, t.cols), t))
                 .collect(),
-            // lookup_totals (not stats()) keeps the scrape-owned
-            // hit-rate window untouched.
-            cache_hits: inner.factor_cache.lookup_totals().0,
-            cache_misses: inner.factor_cache.lookup_totals().1,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             warm_hits: inner.metrics.warm_start_hits.load(Ordering::Relaxed),
             lowrank_hits: inner.metrics.lowrank_hits.load(Ordering::Relaxed),
             packed_requests: inner.metrics.packed_requests.load(Ordering::Relaxed),

@@ -475,37 +475,48 @@ impl MetricsReport {
                 stats.resident as f64,
             );
         }
-        let fs = &self.caches.factor_store;
-        counter(
-            out,
-            "factor_store_hits_total",
-            "Factor lookups that found a resident version.",
-            fs.hits,
-        );
-        counter(
-            out,
-            "factor_store_misses_total",
-            "Factor lookups for models with no resident version.",
-            fs.misses,
-        );
-        counter(
-            out,
-            "factor_store_evictions_total",
-            "Factor versions evicted by the byte-budget LRU policy.",
-            fs.evictions,
-        );
-        counter(
-            out,
-            "factor_store_publishes_total",
-            "Factor versions published.",
-            fs.publishes,
-        );
-        gauge(
-            out,
-            "factor_store_resident_bytes",
-            "Bytes of resident truncated factors.",
-            fs.resident_bytes as f64,
-        );
+        // The factor store and factor cache wrap one LRU primitive and
+        // export the same counter set under their own prefixes.
+        let (fs, fc) = (&self.caches.factor_store, &self.caches.factor_cache);
+        for (prefix, c, resident_bytes, hit_rate_window) in [
+            (
+                "factor_store",
+                [fs.hits, fs.misses, fs.evictions, fs.publishes],
+                fs.resident_bytes,
+                fs.hit_rate_window,
+            ),
+            (
+                "factor_cache",
+                [fc.hits, fc.misses, fc.evictions, fc.publishes],
+                fc.resident_bytes,
+                fc.hit_rate_window,
+            ),
+        ] {
+            for (name, help, value) in [
+                ("hits_total", "Lookups that found a resident entry.", c[0]),
+                ("misses_total", "Lookups with no resident entry.", c[1]),
+                (
+                    "evictions_total",
+                    "Entries evicted by the byte budget.",
+                    c[2],
+                ),
+                ("publishes_total", "Entries published.", c[3]),
+            ] {
+                counter(out, &format!("{prefix}_{name}"), help, value);
+            }
+            gauge(
+                out,
+                &format!("{prefix}_resident_bytes"),
+                "Bytes charged against the byte budget.",
+                resident_bytes as f64,
+            );
+            gauge(
+                out,
+                &format!("{prefix}_hit_rate_window"),
+                "Hit fraction since the previous stats capture.",
+                hit_rate_window,
+            );
+        }
         gauge(
             out,
             "factor_store_resident_models",
@@ -514,52 +525,9 @@ impl MetricsReport {
         );
         gauge(
             out,
-            "factor_store_hit_rate_window",
-            "Factor-store hit fraction since the previous stats capture.",
-            fs.hit_rate_window,
-        );
-        let fc = &self.caches.factor_cache;
-        counter(
-            out,
-            "factor_cache_hits_total",
-            "Update cache lookups that found the client's entry.",
-            fc.hits,
-        );
-        counter(
-            out,
-            "factor_cache_misses_total",
-            "Update cache lookups for clients with no resident entry.",
-            fc.misses,
-        );
-        counter(
-            out,
-            "factor_cache_evictions_total",
-            "Client entries evicted by the byte-budget LRU policy.",
-            fc.evictions,
-        );
-        counter(
-            out,
-            "factor_cache_publishes_total",
-            "Client entries published (refreshed factors).",
-            fc.publishes,
-        );
-        gauge(
-            out,
-            "factor_cache_resident_bytes",
-            "Bytes of resident per-client update state.",
-            fc.resident_bytes as f64,
-        );
-        gauge(
-            out,
             "factor_cache_resident_clients",
             "Clients with a resident cache entry.",
             fc.resident_clients as f64,
-        );
-        gauge(
-            out,
-            "factor_cache_hit_rate_window",
-            "Factor-cache hit fraction since the previous stats capture.",
-            fc.hit_rate_window,
         );
         let _ = writeln!(
             out,

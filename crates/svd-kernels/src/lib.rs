@@ -25,6 +25,8 @@
 //!   the staleness classifier that routes between them and a full
 //!   recompute.
 //! * [`io`] — CSV matrix reading/writing (the `hsvd` CLI's format).
+//! * [`lru`] — the weight-budgeted LRU map under every cache and store
+//!   of the serving stack.
 //! * [`qr`] — Householder QR and QR-preconditioned SVD for tall
 //!   matrices (a classic block-Jacobi acceleration).
 //! * [`verify`] — reconstruction-error and orthogonality checks.
@@ -48,6 +50,7 @@ pub mod block;
 pub mod incremental;
 pub mod io;
 pub mod jacobi;
+pub mod lru;
 pub mod matrix;
 pub mod qr;
 pub mod rotation;

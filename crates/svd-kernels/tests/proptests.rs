@@ -1,8 +1,10 @@
 //! Property-based tests of the numerical kernels.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use svd_kernels::block::{block_jacobi, BlockJacobiOptions};
 use svd_kernels::jacobi::{hestenes_jacobi, round_robin_rounds, JacobiOptions};
+use svd_kernels::lru::ByteLru;
 use svd_kernels::qr::{householder_qr, qr_preconditioned_svd};
 use svd_kernels::rotation::{apply_rotation, column_products, compute_rotation};
 use svd_kernels::{verify, Matrix};
@@ -227,6 +229,149 @@ proptest! {
                 let kept: f64 = trunc.sigma.iter().map(|s| s * s).sum();
                 prop_assert!((trunc.retained_energy - kept / total).abs() < 1e-12);
             }
+        }
+    }
+}
+
+/// Reference for `ByteLru`: the clock LRU every cache used before the
+/// shared primitive, evicting by an O(n) `min_by_key` scan over
+/// last-use stamps.
+#[derive(Default)]
+struct ScanLru {
+    /// key -> (weight, last-use stamp, insert sequence of the value).
+    entries: HashMap<u8, (usize, u64, u64)>,
+    inserts: HashMap<u8, u64>,
+    resident_weight: usize,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl ScanLru {
+    fn get(&mut self, key: u8) -> Option<u64> {
+        self.clock += 1;
+        let Some((_, stamp, seq)) = self.entries.get_mut(&key) else {
+            self.misses += 1;
+            return None;
+        };
+        *stamp = self.clock;
+        self.hits += 1;
+        Some(*seq)
+    }
+
+    /// The factor store's and factor cache's byte-budget publish.
+    fn insert(&mut self, key: u8, weight: usize, budget: usize) -> u64 {
+        self.clock += 1;
+        let seq = self.inserts.entry(key).or_insert(0);
+        *seq += 1;
+        let seq = *seq;
+        if let Some((old, ..)) = self.entries.insert(key, (weight, self.clock, seq)) {
+            self.resident_weight -= old;
+        }
+        self.resident_weight += weight;
+        while self.resident_weight > budget && self.entries.len() > 1 {
+            let victim = self
+                .entries
+                .iter()
+                .filter(|(&k, _)| k != key)
+                .min_by_key(|(_, (_, stamp, _))| *stamp)
+                .map(|(&k, _)| k);
+            let Some(victim) = victim else { break };
+            self.resident_weight -= self.entries.remove(&victim).unwrap().0;
+            self.evictions += 1;
+        }
+        seq
+    }
+
+    /// The plan cache's and apply-profile cache's build on miss: evict
+    /// the oldest entry at capacity, then insert.
+    fn get_or_build(&mut self, key: u8, capacity: usize, fail: bool) -> bool {
+        if self.get(key).is_some() {
+            return true;
+        }
+        if fail {
+            return false;
+        }
+        *self.inserts.entry(key).or_insert(0) += 1;
+        if self.entries.len() >= capacity {
+            let oldest = self.entries.iter().min_by_key(|(_, (_, stamp, _))| *stamp);
+            let oldest = *oldest.unwrap().0;
+            self.entries.remove(&oldest);
+            self.evictions += 1;
+        }
+        self.entries.insert(key, (1, self.clock, 0));
+        self.resident_weight = self.entries.len();
+        true
+    }
+
+    fn check(&self, lru: &ByteLru<u8, u64>) -> Result<(), TestCaseError> {
+        let totals = lru.totals();
+        prop_assert_eq!(
+            (totals.hits, totals.misses, totals.evictions, totals.inserts),
+            (
+                self.hits,
+                self.misses,
+                self.evictions,
+                self.inserts.values().sum()
+            )
+        );
+        prop_assert_eq!(totals.resident_weight, self.resident_weight as u64);
+        let mut resident = lru.resident_weights();
+        resident.sort_unstable();
+        let mut expected: Vec<(u8, usize)> =
+            self.entries.iter().map(|(&k, &(w, ..))| (k, w)).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(resident, expected);
+        for key in 0..KEYS {
+            prop_assert_eq!(
+                lru.inserts_of(&key),
+                self.inserts.get(&key).copied().unwrap_or(0)
+            );
+        }
+        Ok(())
+    }
+}
+
+const KEYS: u8 = 12;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Byte-budget mode: random gets and inserts with random weights
+    /// give the same hits, misses, evictions, resident set and per-key
+    /// insert counts as the scanning reference.
+    #[test]
+    fn byte_lru_matches_scanning_reference(
+        budget in 0usize..60,
+        ops in prop::collection::vec((any::<bool>(), 0..KEYS, 0usize..20), 1..200),
+    ) {
+        let lru = ByteLru::new(budget);
+        let mut reference = ScanLru::default();
+        for (is_get, k, w) in ops {
+            if is_get {
+                prop_assert_eq!(lru.get(&k).map(|seq| *seq), reference.get(k));
+            } else {
+                let seq = lru.insert_with(k, |seq| (seq, w));
+                prop_assert_eq!(*seq, reference.insert(k, w, budget));
+            }
+            reference.check(&lru)?;
+        }
+    }
+
+    /// Capacity mode (weight 1, budget = capacity): builds on miss,
+    /// some failing, evict exactly as the evict-before-insert LRU did.
+    #[test]
+    fn byte_lru_matches_capacity_reference(
+        capacity in 1usize..6,
+        ops in prop::collection::vec((0..KEYS, any::<bool>()), 1..200),
+    ) {
+        let lru = ByteLru::new(capacity);
+        let mut reference = ScanLru::default();
+        for (k, fail) in ops {
+            let got = lru.get_or_try_insert_with(k, || if fail { Err(()) } else { Ok((0, 1)) });
+            prop_assert_eq!(got.is_ok(), reference.get_or_build(k, capacity, fail));
+            reference.check(&lru)?;
         }
     }
 }
