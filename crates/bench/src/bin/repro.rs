@@ -641,7 +641,8 @@ fn run_serve(quick: bool) {
 
 fn run_hotpath(quick: bool) {
     println!(
-        "\n=== Hot path: orthogonalization sweep, baseline vs optimized (256x256, P_eng=4) ==="
+        "\n=== Hot path: orthogonalization sweep, baseline vs optimized vs round-parallel \
+         (256x256, P_eng=4) ==="
     );
     let sweeps = if quick { 2 } else { 5 };
     let report = match hotpath::run(256, 4, sweeps, &|| ALLOC.count()) {
@@ -662,8 +663,12 @@ fn run_hotpath(quick: bool) {
         );
     }
     println!(
-        "speedup vs baseline: {:.2}x ({} passes/sweep, {} measured sweeps)",
-        report.speedup_serial, report.passes_per_sweep, report.measured_sweeps
+        "speedup vs baseline: {:.2}x, round-parallel vs serial: {:.2}x ({} passes/sweep, {} \
+         measured sweeps)",
+        report.speedup_serial,
+        report.speedup_round_parallel,
+        report.passes_per_sweep,
+        report.measured_sweeps
     );
     persist("hotpath", &report);
 
@@ -684,6 +689,10 @@ fn run_hotpath(quick: bool) {
             eprintln!("cannot serialize hotpath report: {e}");
             std::process::exit(1);
         }
+    }
+    if !report.round_parallel_identical() {
+        eprintln!("round-parallel sweeps changed the matrix: checksums differ from serial");
+        std::process::exit(1);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Hot-path microbenchmark: the orthogonalization sweep before and
 //! after the PR-2 optimizations.
 //!
-//! Two variants run the same functional workload (one full round-robin
-//! sweep over every block pair):
+//! Three variants run the same functional workload (one full
+//! round-robin sweep over every block pair):
 //!
 //! * **baseline** — a frozen copy of the pre-optimization
 //!   `OrthPipeline`: scalar (non-chunked) rotation kernels, per-pass
@@ -10,6 +10,9 @@
 //!   fresh scratch `Vec`s, and a private `Placement::plan` per pipeline.
 //! * **optimized-serial** — the current pipeline (hoisted scratch,
 //!   chunked 8-lane kernels, shared [`heterosvd::PlanHandle`]).
+//! * **round-parallel** — the current pipeline with a helper lent from
+//!   a one-worker [`BatchPool`]: each round's passes split between two
+//!   threads. Its checksum must equal optimized-serial's.
 //!
 //! Reported per variant: mean ns per block-pair pass, full sweeps per
 //! second, heap allocations per pass (from a counting allocator the
@@ -17,7 +20,7 @@
 //! sweeps.
 
 use heterosvd::orth_pipeline::OrthPipeline;
-use heterosvd::{HeteroSvdConfig, HeteroSvdError, Placement, PlanHandle, PlioPlan};
+use heterosvd::{BatchPool, HeteroSvdConfig, HeteroSvdError, Placement, PlanHandle, PlioPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -83,7 +86,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// One measured variant of the sweep hot path.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HotpathRow {
-    /// `baseline` or `optimized-serial`.
+    /// `baseline`, `optimized-serial` or `round-parallel`.
     pub variant: String,
     /// Mean wall-clock nanoseconds per block-pair pass.
     pub ns_per_pass: f64,
@@ -110,6 +113,23 @@ pub struct HotpathReport {
     pub results: Vec<HotpathRow>,
     /// `baseline.ns_per_pass / optimized-serial.ns_per_pass`.
     pub speedup_serial: f64,
+    /// `optimized-serial.ns_per_pass / round-parallel.ns_per_pass`.
+    pub speedup_round_parallel: f64,
+}
+
+impl HotpathReport {
+    /// Whether the round-parallel sweeps left the matrix bit for bit
+    /// where the serial ones did.
+    pub fn round_parallel_identical(&self) -> bool {
+        let checksum = |variant: &str| {
+            self.results
+                .iter()
+                .find(|r| r.variant == variant)
+                .map(|r| r.checksum.to_bits())
+        };
+        checksum("optimized-serial").is_some()
+            && checksum("optimized-serial") == checksum("round-parallel")
+    }
 }
 
 fn test_matrix(n: usize) -> Matrix<f32> {
@@ -147,53 +167,53 @@ pub fn run(
         BlockPairSchedule::round_robin(p).iter().count()
     };
 
-    let mut results = Vec::with_capacity(2);
+    let mut results = Vec::with_capacity(3);
+    let measure = |variant: &str, sweep: &mut dyn FnMut(&mut Matrix<f32>)| {
+        let mut b = test_matrix(n);
+        sweep(&mut b); // warm-up
+        let allocs_before = alloc_count();
+        let start = Instant::now();
+        for _ in 0..measured_sweeps {
+            sweep(&mut b);
+        }
+        let elapsed = start.elapsed();
+        row(
+            variant,
+            elapsed,
+            measured_sweeps,
+            passes_per_sweep,
+            alloc_count() - allocs_before,
+            checksum(&b),
+        )
+    };
+    let floor_sq = test_matrix(n).column_norm_floor_sq();
 
     // ---- Baseline: frozen pre-optimization pipeline. ----
-    {
-        let placement = Placement::plan(&cfg)?;
-        let mut pipe = BaselinePipeline::new(&cfg, &placement);
-        let mut b = test_matrix(n);
-        pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-        pipe.run_iteration(&mut b); // warm-up
-        let allocs_before = alloc_count();
-        let start = Instant::now();
-        for _ in 0..measured_sweeps {
-            pipe.run_iteration(&mut b);
-        }
-        let elapsed = start.elapsed();
-        results.push(row(
-            "baseline",
-            elapsed,
-            measured_sweeps,
-            passes_per_sweep,
-            alloc_count() - allocs_before,
-            checksum(&b),
-        ));
-    }
+    let placement = Placement::plan(&cfg)?;
+    let mut baseline = BaselinePipeline::new(&cfg, &placement);
+    baseline.set_norm_floor_sq(floor_sq);
+    results.push(measure("baseline", &mut |b| baseline.run_iteration(b)));
 
     // ---- Optimized serial. ----
-    {
-        let plan = PlanHandle::build(&cfg)?;
-        let mut pipe = OrthPipeline::new(&cfg, &plan);
-        let mut b = test_matrix(n);
-        pipe.set_norm_floor_sq(b.column_norm_floor_sq());
-        pipe.run_iteration(&mut b); // warm-up
-        let allocs_before = alloc_count();
-        let start = Instant::now();
-        for _ in 0..measured_sweeps {
-            pipe.run_iteration(&mut b);
-        }
-        let elapsed = start.elapsed();
-        results.push(row(
-            "optimized-serial",
-            elapsed,
-            measured_sweeps,
-            passes_per_sweep,
-            alloc_count() - allocs_before,
-            checksum(&b),
-        ));
+    let plan = PlanHandle::build(&cfg)?;
+    let mut serial = OrthPipeline::new(&cfg, &plan);
+    serial.set_norm_floor_sq(floor_sq);
+    results.push(measure("optimized-serial", &mut |b| {
+        serial.run_iteration(b);
+    }));
+
+    // ---- Round-parallel: the same pipeline plus a lent helper. ----
+    let pool = BatchPool::new(1);
+    let mut helped = OrthPipeline::new(&cfg, &plan);
+    helped.set_norm_floor_sq(floor_sq);
+    helped.lend_helper(&pool);
+    while !helped.helper_attached() {
+        std::thread::yield_now();
     }
+    results.push(measure("round-parallel", &mut |b| {
+        helped.run_iteration(b);
+    }));
+    helped.release_helper()?;
 
     let ns = |variant: &str| {
         results
@@ -203,12 +223,14 @@ pub fn run(
     };
     let baseline_ns = ns("baseline").unwrap_or(f64::NAN);
     let serial_ns = ns("optimized-serial").unwrap_or(f64::NAN);
+    let parallel_ns = ns("round-parallel").unwrap_or(f64::NAN);
     Ok(HotpathReport {
         n,
         p_eng,
         passes_per_sweep,
         measured_sweeps,
         speedup_serial: baseline_ns / serial_ns,
+        speedup_round_parallel: serial_ns / parallel_ns,
         results,
     })
 }
@@ -470,13 +492,15 @@ impl<'a> BaselinePipeline<'a> {
 mod tests {
     use super::*;
 
-    /// The report is internally consistent on a small workload, and the
-    /// optimized variant's checksum matches a fresh optimized sweep.
+    /// The report is internally consistent on a small workload, the
+    /// optimized variant's checksum matches a fresh optimized sweep, and
+    /// the round-parallel variant's matches the serial one.
     #[test]
     fn small_workload_report_is_consistent() {
         let report = run(32, 4, 2, &|| 0).unwrap();
         assert_eq!(report.n, 32);
-        assert_eq!(report.results.len(), 2);
+        assert_eq!(report.results.len(), 3);
+        assert!(report.round_parallel_identical());
         for r in &report.results {
             assert!(
                 r.ns_per_pass > 0.0,

@@ -19,35 +19,53 @@
 //! the `t_algo`/`t_datawait` effects of Eq. (10)–(11) emerge from this
 //! dependency tracking rather than being bolted on.
 //!
+//! # Timing first, then one functional sweep
+//!
+//! The modeled clock never reads the matrix, so an iteration first
+//! produces its timing — live (`schedule_pass` per block pair) or from
+//! the replay profile — and then runs the rotation math once, in one
+//! `sweep` shared by both paths. The sweep walks the round-robin schedule
+//! round by round. A round is a matching of blocks, so its passes touch
+//! disjoint columns, disjoint dirty-column versions and disjoint pair
+//! cache entries; with a helper lent from the [`BatchPool`]
+//! ([`OrthPipeline::lend_helper`]) the run's thread claims a round's
+//! passes from the front and the helper from the back, and the run waits
+//! at the round's end only for the helper's pass in flight. Factors,
+//! measures and counters come out bit-identical to the serial order
+//! (the sweep maximum and the counts are order-free).
+//!
 //! # Hot-path memory discipline
 //!
-//! `run_pass` executes once per block pair per iteration — hundreds of
-//! thousands of times in a large factorization — so it must not touch
+//! A block-pair pass runs once per block pair per iteration — hundreds
+//! of thousands of times in a large factorization — so it must not touch
 //! the allocator. Everything a pass needs is prepared once:
 //!
 //! * immutable plan data (schedule, movement classification, port maps,
 //!   cost models) lives in the shared [`PlanHandle`] and is *borrowed*,
 //!   never cloned, per layer;
 //! * mutable scratch (`col_avail`, `prev_end`, `slot_ready`,
-//!   `layer_end`, the pass's column indices) lives in
-//!   [`PassScratch`], sized at construction and reused via
-//!   `clear()`/overwrite every pass;
+//!   `layer_end`) lives in [`PassScratch`], sized at construction and
+//!   overwritten every pass;
 //! * all transfer/kernel durations depend only on the configuration, so
 //!   they are computed once in [`OrthPipeline::new`].
 //!
-//! The steady-state pass therefore performs zero heap allocations (the
-//! counting-allocator test in `tests/zero_alloc.rs` enforces this).
+//! The steady-state pass therefore performs zero heap allocations, with
+//! or without a helper: the state shared with a helper is allocated once
+//! per run, when it is lent (the counting-allocator test in
+//! `tests/zero_alloc.rs` enforces this).
 
+use crate::batch_pool::{Backoff, BatchPool, HelperLease, HelperLink};
 use crate::config::{FidelityMode, HeteroSvdConfig};
 use crate::plan_cache::{PlanHandle, StepKind};
 use crate::replay::TimingProfile;
+use crate::HeteroSvdError;
 use aie_sim::plio::PlioDirection;
 use aie_sim::stats::SimStats;
 use aie_sim::time::TimePs;
 use aie_sim::timeline::Timeline;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use svd_kernels::adaptive::{did_rotate, AdaptiveState};
-use svd_kernels::rotation::orthogonalize_pair_gated;
+use svd_kernels::adaptive::{did_rotate, AdaptiveState, SharedColumns, VisitTally};
 use svd_kernels::Matrix;
 
 /// One block-pair pass in the execution trace (enabled with
@@ -88,8 +106,6 @@ struct PassScratch {
     slot_ready: Vec<TimePs>,
     /// Completion time of each slot in the current layer (len `k`).
     layer_end: Vec<TimePs>,
-    /// Global column indices of the current block pair (capacity `2k`).
-    cols: Vec<usize>,
     /// Dirty-column/pair-cache state of the convergence-adaptive engine
     /// (`None` with [`crate::HeteroSvdConfig::adaptive_sweeps`] off or
     /// outside functional fidelity). Sized once at construction — the
@@ -162,6 +178,8 @@ pub struct OrthPipeline<'a> {
     /// replay does not advance the timelines, so the live path could not
     /// resume from a replayed prefix).
     replay_active: bool,
+    /// The pool worker lent to this run's sweeps, if any.
+    helper: Option<RoundHelper>,
 }
 
 impl<'a> OrthPipeline<'a> {
@@ -220,7 +238,6 @@ impl<'a> OrthPipeline<'a> {
                 prev_end: vec![TimePs::ZERO; k],
                 slot_ready: vec![TimePs::ZERO; k],
                 layer_end: vec![TimePs::ZERO; k],
-                cols: Vec::with_capacity(2 * k),
                 adaptive: (config.adaptive_sweeps && config.fidelity == FidelityMode::Functional)
                     .then(|| AdaptiveState::new(config.cols)),
             },
@@ -252,6 +269,7 @@ impl<'a> OrthPipeline<'a> {
             iterations_run: 0,
             replay: None,
             replay_active: false,
+            helper: None,
         }
     }
 
@@ -303,6 +321,43 @@ impl<'a> OrthPipeline<'a> {
     /// after the first iteration has run).
     pub fn replay_active(&self) -> bool {
         self.replay_active
+    }
+
+    /// Lends one worker of `pool` to this run's functional sweeps: from
+    /// the next iteration on, each round's passes are split between the
+    /// calling thread and the helper (see the module docs). Results are
+    /// bit-identical with or without it. The loan lasts until
+    /// [`Self::release_helper`] or until the pipeline is dropped; a
+    /// helper that starts only after that does nothing. The state shared
+    /// with the helper is allocated here, once per run.
+    pub fn lend_helper(&mut self, pool: &BatchPool) {
+        assert!(self.helper.is_none(), "a run borrows at most one helper");
+        let share = Arc::new(RoundShare::default());
+        let helped = Arc::clone(&share);
+        let lease = pool.lend_helper(move |link| helped.help(link));
+        self.helper = Some(RoundHelper { share, lease });
+    }
+
+    /// The state shared with the lent helper.
+    #[cfg(test)]
+    pub(crate) fn round_share(&self) -> Option<Arc<RoundShare>> {
+        self.helper.as_ref().map(|h| Arc::clone(&h.share))
+    }
+
+    /// Whether a lent helper has started and not yet detached.
+    pub fn helper_attached(&self) -> bool {
+        self.helper.as_ref().is_some_and(|h| h.lease.attached())
+    }
+
+    /// Ends the loan of [`Self::lend_helper`], waiting for an attached
+    /// helper to detach. No-op without a helper.
+    ///
+    /// # Errors
+    ///
+    /// [`HeteroSvdError::WorkerPanicked`] when the helper panicked: the
+    /// factors of this run are then not to be trusted.
+    pub fn release_helper(&mut self) -> Result<(), HeteroSvdError> {
+        self.helper.take().map_or(Ok(()), |h| h.lease.close())
     }
 
     /// Snapshot of all mutable timing state: every block's ready time
@@ -367,11 +422,22 @@ impl<'a> OrthPipeline<'a> {
                 .as_ref()
                 .is_some_and(|p| p.initial_block_ready() == self.block_ready.as_slice());
         }
-        let outcome = if self.replay_active {
+        let end = if self.replay_active {
             let profile = Arc::clone(self.replay.as_ref().expect("replay_active implies profile"));
-            self.run_iteration_replay(&profile, b)
+            self.replay_timing(&profile)
         } else {
-            self.run_iteration_live(b)
+            self.live_timing()
+        };
+        let tally = if self.config.fidelity == FidelityMode::Functional {
+            self.sweep(b)
+        } else {
+            SweepTally::default()
+        };
+        self.iterations_run += 1;
+        let outcome = IterationOutcome {
+            end,
+            max_convergence: tally.max_conv,
+            rotations: tally.rotations,
         };
         if let Some(t0) = span_start {
             crate::obs::global().record(
@@ -384,11 +450,10 @@ impl<'a> OrthPipeline<'a> {
         outcome
     }
 
-    /// One fully live-simulated iteration (every `Timeline` scheduled).
-    fn run_iteration_live(&mut self, b: &mut Matrix<f32>) -> IterationOutcome {
+    /// One iteration's timing, live: every pass scheduled on the
+    /// `Timeline`s. Returns the iteration's end.
+    fn live_timing(&mut self) -> TimePs {
         let plan = self.plan;
-        let mut max_conv = 0.0_f64;
-        let mut rotations = 0usize;
         let mut iteration_end = self
             .block_ready
             .iter()
@@ -400,7 +465,7 @@ impl<'a> OrthPipeline<'a> {
         debug_assert!(plan.partition.num_blocks() >= 2, "block count must be >= 2");
         for (pass, (u, v)) in plan.pair_schedule.iter().enumerate() {
             let ready = self.block_ready[u].max(self.block_ready[v]);
-            let end = self.run_pass(b, u, v, &mut max_conv, &mut rotations);
+            let end = self.schedule_pass(u, v);
             if self.config.record_trace {
                 self.trace.push(PassRecord {
                     iteration: self.iterations_run,
@@ -412,45 +477,15 @@ impl<'a> OrthPipeline<'a> {
             }
             iteration_end = iteration_end.max(end);
         }
-
-        self.iterations_run += 1;
         self.stats.iterations += 1;
-        IterationOutcome {
-            end: iteration_end,
-            max_convergence: max_conv,
-            rotations,
-        }
+        iteration_end
     }
 
-    /// One iteration via the cached profile: the functional math still
-    /// runs (same pass/layer/slot order as the live path, so results are
-    /// bit-identical), but all timing — pass records, the iteration end,
-    /// the stats delta — comes from O(1) profile lookups instead of
-    /// `Timeline` scheduling. Zero allocations outside trace recording,
-    /// like the live path.
-    fn run_iteration_replay(
-        &mut self,
-        profile: &TimingProfile,
-        b: &mut Matrix<f32>,
-    ) -> IterationOutcome {
-        let plan = self.plan;
+    /// One iteration's timing from the cached profile: pass records, the
+    /// iteration end and the stats delta are O(1) lookups instead of
+    /// `Timeline` scheduling. Zero allocations outside trace recording.
+    fn replay_timing(&mut self, profile: &TimingProfile) -> TimePs {
         let iteration = self.iterations_run;
-        let mut max_conv = 0.0_f64;
-        let mut rotations = 0usize;
-
-        if self.config.fidelity == FidelityMode::Functional {
-            let layers = plan.placement.num_layers();
-            for (u, v) in plan.pair_schedule.iter() {
-                self.scratch.cols.clear();
-                self.scratch.cols.extend(plan.partition.block_range(u));
-                self.scratch.cols.extend(plan.partition.block_range(v));
-                for layer in 0..layers {
-                    let pairs = &plan.schedule.layers()[layer].pairs_by_slot;
-                    self.rotate_layer(b, pairs, &mut max_conv, &mut rotations);
-                }
-            }
-        }
-
         if self.config.record_trace {
             profile.for_each_pass(iteration, |pass, p| {
                 self.trace.push(PassRecord {
@@ -462,36 +497,48 @@ impl<'a> OrthPipeline<'a> {
                 });
             });
         }
-
         self.stats.accumulate(profile.iter_stats());
-        self.iterations_run += 1;
-        IterationOutcome {
-            end: profile.iteration_end(iteration),
-            max_convergence: max_conv,
-            rotations,
-        }
+        profile.iteration_end(iteration)
     }
 
-    /// Streams one block pair through the array. Returns the time both
-    /// blocks are back in the PL FIFOs.
-    fn run_pass(
-        &mut self,
-        b: &mut Matrix<f32>,
-        u: usize,
-        v: usize,
-        max_conv: &mut f64,
-        rotations: &mut usize,
-    ) -> TimePs {
+    /// The functional math of one iteration: every block pair of the
+    /// schedule, round by round, shared with the helper when one is lent.
+    fn sweep(&mut self, b: &mut Matrix<f32>) -> SweepTally {
+        let plan = self.plan;
+        let view = SharedColumns::new(b, self.scratch.adaptive.as_mut());
+        let mut tally = SweepTally::default();
+        match &self.helper {
+            Some(helper) => {
+                helper
+                    .share
+                    .sweep(plan, &view, self.norm_floor_sq, &helper.lease, &mut tally)
+            }
+            None => {
+                let ctx = SweepCtx {
+                    plan,
+                    view: &view,
+                    floor_sq: self.norm_floor_sq,
+                    first_round: 0,
+                };
+                for pair in plan.pair_schedule.iter() {
+                    sweep_pass(&ctx, pair, &mut tally);
+                }
+            }
+        }
+        if let Some(state) = self.scratch.adaptive.as_mut() {
+            state.absorb(tally.visits);
+        }
+        tally
+    }
+
+    /// Schedules one block pair's stream through the array on the
+    /// timelines. Returns the time both blocks are back in the PL FIFOs.
+    fn schedule_pass(&mut self, u: usize, v: usize) -> TimePs {
         let plan = self.plan;
         let k = self.config.engine_parallelism;
         let m_bytes = self.config.column_bytes();
         let ready = self.block_ready[u].max(self.block_ready[v]);
-        let functional = self.config.fidelity == FidelityMode::Functional;
-
-        self.scratch.cols.clear();
-        self.scratch.cols.extend(plan.partition.block_range(u));
-        self.scratch.cols.extend(plan.partition.block_range(v));
-        let num_cols = self.scratch.cols.len();
+        let num_cols = 2 * k;
 
         // ---- Tx: PL -> AIE over the four input ports (Eq. 8). ----
         for local in 0..num_cols {
@@ -524,9 +571,6 @@ impl<'a> OrthPipeline<'a> {
                 self.stats.orth_invocations += 1;
                 self.stats.orth_busy += self.orth_dur;
             }
-            if functional {
-                self.rotate_layer(b, pairs, max_conv, rotations);
-            }
             std::mem::swap(&mut self.scratch.prev_end, &mut self.scratch.layer_end);
         }
 
@@ -551,41 +595,6 @@ impl<'a> OrthPipeline<'a> {
         self.block_ready[u] = block_u_end + self.hls_dur;
         self.block_ready[v] = block_v_end + self.hls_dur;
         self.block_ready[u].max(self.block_ready[v])
-    }
-
-    /// Orthogonalizes one layer's column pairs of `b` (slot-local indices
-    /// into the current pass's columns) and folds each pair's measure into
-    /// the iteration's maximum and rotation count, in slot order. The live
-    /// and replay paths share this, so their functional math is one code
-    /// path.
-    fn rotate_layer(
-        &mut self,
-        b: &mut Matrix<f32>,
-        pairs: &[(usize, usize)],
-        max_conv: &mut f64,
-        rotations: &mut usize,
-    ) {
-        let scratch = &mut self.scratch;
-        // Without the adaptive state the threshold is 0 and `did_rotate`
-        // degenerates to the legacy `conv > 0` count.
-        let threshold = scratch.adaptive.as_ref().map_or(0.0, |s| s.threshold());
-        for &(i, j) in pairs {
-            let (u, v) = (scratch.cols[i], scratch.cols[j]);
-            let conv = match scratch.adaptive.as_mut() {
-                Some(state) => state.visit(b, u, v, self.norm_floor_sq),
-                None => {
-                    let (x, y) = b.col_pair_mut(u, v);
-                    orthogonalize_pair_gated(x, y, self.norm_floor_sq)
-                }
-            };
-            if did_rotate(conv, threshold) {
-                *rotations += 1;
-            }
-            let conv = conv as f64;
-            if conv > *max_conv {
-                *max_conv = conv;
-            }
-        }
     }
 
     /// Computes each slot's input-ready time for the transition into
@@ -635,12 +644,268 @@ impl<'a> OrthPipeline<'a> {
     }
 }
 
+/// What one sweep, or one thread's share of it, measured.
+#[derive(Debug, Clone, Copy, Default)]
+struct SweepTally {
+    /// Largest Eq. (6) measure seen.
+    max_conv: f64,
+    /// Rotations applied.
+    rotations: usize,
+    /// Work the adaptive gate saved.
+    visits: VisitTally,
+}
+
+impl SweepTally {
+    fn record(&mut self, conv: f32, threshold: f32) {
+        // Without adaptive state the threshold is 0 and `did_rotate`
+        // degenerates to the legacy `conv > 0` count.
+        if did_rotate(conv, threshold) {
+            self.rotations += 1;
+        }
+        let conv = conv as f64;
+        if conv > self.max_conv {
+            self.max_conv = conv;
+        }
+    }
+}
+
+/// What every pass of one sweep reads.
+struct SweepCtx<'s> {
+    plan: &'s PlanHandle,
+    view: &'s SharedColumns<'s, f32>,
+    floor_sq: f32,
+    /// Sequence number of the sweep's first round ([`RoundShare`]).
+    first_round: u32,
+}
+
+/// Orthogonalizes the `2k` columns of block pair `(u, v)`: every
+/// orth-layer's slot pairs, layer by layer, in slot order.
+fn sweep_pass(ctx: &SweepCtx<'_>, (u, v): (usize, usize), tally: &mut SweepTally) {
+    let plan = ctx.plan;
+    let k = plan.partition.block_cols;
+    let column = |local: usize| {
+        if local < k {
+            u * k + local
+        } else {
+            v * k + local - k
+        }
+    };
+    let threshold = ctx.view.threshold();
+    for layer in &plan.schedule.layers()[..plan.placement.num_layers()] {
+        for &(i, j) in &layer.pairs_by_slot {
+            // SAFETY: a pass visits only the columns of blocks `u` and
+            // `v`. Passes run concurrently only within one round (see
+            // `RoundShare`), and a round's block pairs are a matching
+            // (`BlockPairSchedule::round_robin` asserts it), so no
+            // concurrent visit shares a column with this one.
+            let conv = unsafe {
+                ctx.view
+                    .visit(column(i), column(j), ctx.floor_sq, &mut tally.visits)
+            };
+            tally.record(conv, threshold);
+        }
+    }
+}
+
+/// A helper lent to one run and the state the two share.
+#[derive(Debug)]
+struct RoundHelper {
+    share: Arc<RoundShare>,
+    lease: HelperLease,
+}
+
+/// Cross-thread state of one run's round-parallel sweeps, allocated once
+/// per run when a helper is lent.
+///
+/// Claiming: the open round is one word, `sequence << 32 | unclaimed`.
+/// The run's thread opens each round by storing the next sequence with
+/// the round's pass count; both threads claim by decrementing the count.
+/// The run takes passes from the front of the round and the helper from
+/// the back, so neighbouring blocks — whose columns, version counters
+/// and cache entries sit side by side in memory — stay on one thread. A
+/// helper claim carries the sequence it saw, so it can never land in a
+/// later round, and the run leaves a round only after the helper's
+/// claimed passes are done: while the helper holds a claim, the sweep's
+/// [`SweepCtx`] is alive.
+#[derive(Debug, Default)]
+pub(crate) struct RoundShare {
+    /// The open round's sequence and unclaimed pass count.
+    claim: AtomicU64,
+    /// Passes of the open round the helper finished.
+    helper_done: AtomicUsize,
+    /// The open sweep's [`SweepCtx`], stored before its first round.
+    ctx: AtomicPtr<()>,
+    /// The helper's share of the current sweep's tally (`max_conv` as
+    /// `f64` bits: non-negative, so integer order is float order).
+    max_conv_bits: AtomicU64,
+    rotations: AtomicUsize,
+    memo_skips: AtomicU64,
+    gated_rotations: AtomicU64,
+    /// Sequence of the last round the helper claimed in.
+    #[cfg(test)]
+    helper_round: AtomicU64,
+}
+
+fn claim_word(sequence: u32, unclaimed: usize) -> u64 {
+    (u64::from(sequence) << 32) | unclaimed as u64
+}
+
+fn sequence_of(word: u64) -> u32 {
+    (word >> 32) as u32
+}
+
+fn unclaimed_of(word: u64) -> usize {
+    (word & u64::from(u32::MAX)) as usize
+}
+
+impl RoundShare {
+    /// The run's side of one sweep: opens each round, works it from the
+    /// front, then waits for the helper's pass in flight.
+    fn sweep(
+        &self,
+        plan: &PlanHandle,
+        view: &SharedColumns<'_, f32>,
+        floor_sq: f32,
+        lease: &HelperLease,
+        tally: &mut SweepTally,
+    ) {
+        let first_round = sequence_of(self.claim.load(Ordering::Relaxed)).wrapping_add(1);
+        let ctx = SweepCtx {
+            plan,
+            view,
+            floor_sq,
+            first_round,
+        };
+        self.ctx
+            .store(&ctx as *const SweepCtx<'_> as *mut (), Ordering::Relaxed);
+        for (r, passes) in plan.pair_schedule.rounds().iter().enumerate() {
+            self.helper_done.store(0, Ordering::Relaxed);
+            let sequence = first_round.wrapping_add(r as u32);
+            self.claim
+                .store(claim_word(sequence, passes.len()), Ordering::Release);
+            let mut taken = 0;
+            while self.try_claim() {
+                sweep_pass(&ctx, passes[taken], tally);
+                taken += 1;
+            }
+            let helper_passes = passes.len() - taken;
+            let mut backoff = Backoff::default();
+            while self.helper_done.load(Ordering::Acquire) != helper_passes {
+                // A helper that detached mid-pass panicked: its error
+                // surfaces when the lease is released, so stop waiting.
+                if lease.detached() && self.helper_done.load(Ordering::Acquire) != helper_passes {
+                    break;
+                }
+                backoff.snooze();
+            }
+        }
+        // Everything the helper did happens-before the `Acquire` loads
+        // of `helper_done` above.
+        let helper_max = f64::from_bits(self.max_conv_bits.swap(0, Ordering::Relaxed));
+        tally.max_conv = tally.max_conv.max(helper_max);
+        tally.rotations += self.rotations.swap(0, Ordering::Relaxed);
+        tally.visits.add(VisitTally {
+            memo_skips: self.memo_skips.swap(0, Ordering::Relaxed),
+            gated_rotations: self.gated_rotations.swap(0, Ordering::Relaxed),
+        });
+    }
+
+    /// The run's claim of one pass of the round it opened.
+    fn try_claim(&self) -> bool {
+        let mut word = self.claim.load(Ordering::Relaxed);
+        while unclaimed_of(word) > 0 {
+            match self.claim.compare_exchange_weak(
+                word,
+                word - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => word = seen,
+            }
+        }
+        false
+    }
+
+    /// The helper's loop: claims passes from the back of each open round
+    /// and returns at a round boundary once `link` says stop.
+    fn help(&self, link: &HelperLink) {
+        let mut round = 0u32;
+        let mut taken = 0usize;
+        let mut backoff = Backoff::default();
+        loop {
+            let word = self.claim.load(Ordering::Relaxed);
+            let sequence = sequence_of(word);
+            if unclaimed_of(word) == 0 || sequence != round {
+                if !link.keep_going() {
+                    return;
+                }
+                if unclaimed_of(word) == 0 {
+                    backoff.snooze();
+                    continue;
+                }
+            }
+            // Claim only from the word checked above, so a claim never
+            // lands in a round the boundary check did not see.
+            if self
+                .claim
+                .compare_exchange_weak(word, word - 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
+            }
+            backoff = Backoff::default();
+            if sequence != round {
+                round = sequence;
+                taken = 0;
+                #[cfg(test)]
+                self.helper_round
+                    .store(u64::from(sequence), Ordering::Relaxed);
+            }
+            // SAFETY: the run stored the sweep's context before opening
+            // the claimed round (the claim's `Acquire` orders it), and it
+            // stays in `RoundShare::sweep` until this pass is counted in
+            // `helper_done`, so the context is alive.
+            let ctx = unsafe { &*(self.ctx.load(Ordering::Relaxed) as *const SweepCtx<'_>) };
+            let passes =
+                &ctx.plan.pair_schedule.rounds()[sequence.wrapping_sub(ctx.first_round) as usize];
+            taken += 1;
+            let mut tally = SweepTally::default();
+            sweep_pass(ctx, passes[passes.len() - taken], &mut tally);
+            self.max_conv_bits
+                .fetch_max(tally.max_conv.to_bits(), Ordering::Relaxed);
+            self.rotations.fetch_add(tally.rotations, Ordering::Relaxed);
+            self.memo_skips
+                .fetch_add(tally.visits.memo_skips, Ordering::Relaxed);
+            self.gated_rotations
+                .fetch_add(tally.visits.gated_rotations, Ordering::Relaxed);
+            self.helper_done.fetch_add(1, Ordering::Release);
+            #[cfg(test)]
+            tests::HELPER_PASSES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Sequences of the open round and of the last round the helper
+    /// claimed in.
+    #[cfg(test)]
+    pub(crate) fn rounds(&self) -> (u64, u64) {
+        (
+            u64::from(sequence_of(self.claim.load(Ordering::Relaxed))),
+            self.helper_round.load(Ordering::Relaxed),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HeteroSvdConfig;
+    use crate::{Accelerator, HeteroSvdOutput};
     use svd_kernels::block::BlockPartition;
     use svd_orderings::movement::{DataflowKind, OrderingKind};
+
+    /// Passes helpers have run in this test process.
+    pub(super) static HELPER_PASSES: AtomicU64 = AtomicU64::new(0);
 
     fn config(n: usize, p_eng: usize) -> HeteroSvdConfig {
         HeteroSvdConfig::builder(n, n)
@@ -810,5 +1075,88 @@ mod tests {
                 assert!(d < 1e-6, "mismatch at ({r},{c}): {d}");
             }
         }
+    }
+
+    /// Exact equality of everything a run reports, floats by bits.
+    fn assert_bit_identical(serial: &HeteroSvdOutput, helped: &HeteroSvdOutput, what: &str) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(serial.result.u.as_slice()),
+            bits(helped.result.u.as_slice()),
+            "{what}: u"
+        );
+        assert_eq!(
+            bits(&serial.result.sigma),
+            bits(&helped.result.sigma),
+            "{what}: sigma"
+        );
+        let history = |o: &HeteroSvdOutput| {
+            o.result
+                .history
+                .iter()
+                .map(|h| (h.sweep, h.max_convergence.to_bits(), h.rotations))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(history(serial), history(helped), "{what}: history");
+        assert_eq!(serial.timing, helped.timing, "{what}: timing");
+        assert_eq!(serial.stats, helped.stats, "{what}: stats");
+        assert_eq!(
+            serial.adaptive, helped.adaptive,
+            "{what}: adaptive counters"
+        );
+        assert_eq!(serial, helped, "{what}: output");
+    }
+
+    #[test]
+    fn helper_sweeps_are_bit_identical_to_serial() {
+        // A private one-worker pool, so the helper is forced on even on a
+        // one-CPU host.
+        let pool = BatchPool::new(1);
+        let passes_before = HELPER_PASSES.load(Ordering::Relaxed);
+        let builder = |n: usize, p_eng: usize| {
+            HeteroSvdConfig::builder(n, n)
+                .engine_parallelism(p_eng)
+                .pl_freq_mhz(208.3)
+        };
+        for n in [32, 64, 128, 256] {
+            let a = sample(n);
+            for p_eng in [2, 4, 8] {
+                for adaptive in [true, false] {
+                    let cfg = builder(n, p_eng).adaptive_sweeps(adaptive).build().unwrap();
+                    let acc = Accelerator::new(cfg).unwrap();
+                    let serial = acc.run_helped(a.clone(), None).unwrap();
+                    let helped = acc.run_helped(a.clone(), Some(&pool)).unwrap();
+                    let what = format!("{n}² P_eng {p_eng} adaptive {adaptive}");
+                    assert_bit_identical(&serial, &helped, &what);
+                }
+            }
+        }
+
+        let fixed = Accelerator::new(builder(128, 4).fixed_iterations(3).build().unwrap()).unwrap();
+        let serial = fixed.run_helped(sample(128), None).unwrap();
+        let helped = fixed.run_helped(sample(128), Some(&pool)).unwrap();
+        assert_eq!(helped.result.sweeps, 3);
+        assert_bit_identical(&serial, &helped, "fixed_iterations");
+
+        let warm = Accelerator::new(builder(64, 4).incremental(true).build().unwrap()).unwrap();
+        let a0 = sample(64);
+        let v_prev = warm.run_f32(&a0).unwrap().result.recover_v(&a0).unwrap();
+        let a1 = Matrix::from_fn(64, 64, |r, c| {
+            a0[(r, c)] + ((r * 7 + c * 13) % 5) as f32 * 1e-4
+        });
+        let serial = warm
+            .run_warm_with(&a1, &v_prev, |b| warm.run_helped(b, None))
+            .unwrap();
+        let helped = warm
+            .run_warm_with(&a1, &v_prev, |b| warm.run_helped(b, Some(&pool)))
+            .unwrap();
+        assert!(serial.warm_start.is_some());
+        assert_eq!(serial.result.v, helped.result.v, "warm start: v");
+        assert_bit_identical(&serial, &helped, "run_warm_f32");
+
+        assert!(
+            HELPER_PASSES.load(Ordering::Relaxed) > passes_before,
+            "the helper never ran a pass"
+        );
     }
 }

@@ -33,10 +33,15 @@
 //! bit-identical to the exact engine. All bookkeeping lives in two flat
 //! vectors allocated up front, preserving the zero-alloc steady state of
 //! the orthogonalization pipeline.
+//!
+//! A visit touches only its two columns, their version counters and the
+//! pair's cache entry, so visits on disjoint columns may run on different
+//! threads: [`SharedColumns`] opens a matrix and its state for that.
 
 use crate::matrix::Matrix;
-use crate::rotation::orthogonalize_pair_thresholded;
+use crate::rotation::{orthogonalize_pair_gated, orthogonalize_pair_thresholded};
 use crate::scalar::Real;
+use std::marker::PhantomData;
 
 /// Convergence level at which the threshold schedule trusts the
 /// quadratic tail of one-sided Jacobi (see [`sweep_threshold`]).
@@ -102,6 +107,24 @@ pub struct PairVisit<T> {
     pub ver_hi: u32,
 }
 
+/// Work the adaptive gate saved on one thread: merged into the state
+/// with [`AdaptiveState::absorb`] after a [`SharedColumns`] sweep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VisitTally {
+    /// Visits answered from the pair cache.
+    pub memo_skips: u64,
+    /// Visits that ran the products but gated the rotation.
+    pub gated_rotations: u64,
+}
+
+impl VisitTally {
+    /// Adds `other`'s counts.
+    pub fn add(&mut self, other: VisitTally) {
+        self.memo_skips += other.memo_skips;
+        self.gated_rotations += other.gated_rotations;
+    }
+}
+
 /// Dirty-column versions plus the per-pair last-visit cache for one
 /// matrix, with the current sweep's threshold.
 ///
@@ -113,8 +136,7 @@ pub struct AdaptiveState<T> {
     threshold: T,
     col_version: Vec<u32>,
     cache: Vec<PairVisit<T>>,
-    memo_skips: u64,
-    gated_rotations: u64,
+    tally: VisitTally,
 }
 
 impl<T: Real> AdaptiveState<T> {
@@ -133,8 +155,7 @@ impl<T: Real> AdaptiveState<T> {
                 };
                 cols * cols.saturating_sub(1) / 2
             ],
-            memo_skips: 0,
-            gated_rotations: 0,
+            tally: VisitTally::default(),
         }
     }
 
@@ -152,13 +173,18 @@ impl<T: Real> AdaptiveState<T> {
     /// Number of visits answered from the pair cache (both columns clean
     /// since a gated visit): even the dot products were skipped.
     pub fn memo_skips(&self) -> u64 {
-        self.memo_skips
+        self.tally.memo_skips
     }
 
     /// Number of visits that ran the products but gated the rotation
     /// (measure below the threshold, identity pairs included).
     pub fn gated_rotations(&self) -> u64 {
-        self.gated_rotations
+        self.tally.gated_rotations
+    }
+
+    /// Adds the counts of visits made through a [`SharedColumns`] view.
+    pub fn absorb(&mut self, tally: VisitTally) {
+        self.tally.add(tally);
     }
 
     /// Visits the column pair `(u, v)` of `m`: memo-skip when both columns
@@ -167,40 +193,176 @@ impl<T: Real> AdaptiveState<T> {
     /// Eq. (6) measure of the pair in both cases.
     pub fn visit(&mut self, m: &mut Matrix<T>, u: usize, v: usize, floor_sq: T) -> T {
         let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-        let pid = pair_id(lo, hi);
-        let ver_lo = self.col_version[lo];
-        let ver_hi = self.col_version[hi];
-        let entry = self.cache[pid];
-        if entry.ver_lo == ver_lo && entry.ver_hi == ver_hi && entry.conv < self.threshold {
-            // Both columns untouched since a gated visit: the products would
-            // be bitwise identical, so the cached measure stands in exactly.
-            self.memo_skips += 1;
-            return entry.conv;
-        }
+        let [ver_lo, ver_hi] = self
+            .col_version
+            .get_disjoint_mut([lo, hi])
+            .expect("column pair indices must be distinct and in range");
         let (x, y) = m.col_pair_mut(u, v);
-        let conv = orthogonalize_pair_thresholded(x, y, floor_sq, self.threshold);
-        // Record the *pre-rotation* versions: if the rotation fired, the
-        // bumps below immediately invalidate this entry, so a stale measure
-        // can never be replayed.
-        self.cache[pid] = PairVisit {
-            conv,
+        visit_pair(
+            x,
+            y,
             ver_lo,
             ver_hi,
-        };
-        if did_rotate(conv, self.threshold) {
-            self.col_version[lo] = ver_lo.wrapping_add(1);
-            self.col_version[hi] = ver_hi.wrapping_add(1);
-        } else {
-            self.gated_rotations += 1;
+            &mut self.cache[pair_id(lo, hi)],
+            self.threshold,
+            floor_sq,
+            &mut self.tally,
+        )
+    }
+}
+
+/// One adaptive visit on borrowed state: columns `x`/`y` with their
+/// version counters (lower-indexed column first) and the pair's cache
+/// entry.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn visit_pair<T: Real>(
+    x: &mut [T],
+    y: &mut [T],
+    ver_lo: &mut u32,
+    ver_hi: &mut u32,
+    entry: &mut PairVisit<T>,
+    threshold: T,
+    floor_sq: T,
+    tally: &mut VisitTally,
+) -> T {
+    if entry.ver_lo == *ver_lo && entry.ver_hi == *ver_hi && entry.conv < threshold {
+        // Both columns untouched since a gated visit: the products would
+        // be bitwise identical, so the cached measure stands in exactly.
+        tally.memo_skips += 1;
+        return entry.conv;
+    }
+    let conv = orthogonalize_pair_thresholded(x, y, floor_sq, threshold);
+    // Record the *pre-rotation* versions: if the rotation fired, the
+    // bumps below immediately invalidate this entry, so a stale measure
+    // can never be replayed.
+    *entry = PairVisit {
+        conv,
+        ver_lo: *ver_lo,
+        ver_hi: *ver_hi,
+    };
+    if did_rotate(conv, threshold) {
+        *ver_lo = ver_lo.wrapping_add(1);
+        *ver_hi = ver_hi.wrapping_add(1);
+    } else {
+        tally.gated_rotations += 1;
+    }
+    conv
+}
+
+/// A matrix, and its adaptive state if any, opened for column-pair
+/// visits from several threads at once.
+///
+/// **The matching invariant.** A visit of `(u, v)` writes columns `u` and
+/// `v`, their two version counters and the `{u, v}` cache entry, and
+/// nothing else. Visits whose column sets are disjoint therefore touch
+/// disjoint memory, and may run concurrently. The passes of one round
+/// of a round-robin block schedule qualify: a round is a matching of
+/// blocks, so no column appears in two of its passes. Callers that
+/// share a view across threads must uphold this; [`SharedColumns::visit`]
+/// is `unsafe` for that reason alone.
+///
+/// Without an adaptive state a visit is the plain gated rotation
+/// ([`crate::rotation::orthogonalize_pair_gated`]). With one it is
+/// exactly [`AdaptiveState::visit`], except that the saved-work counts go
+/// to the caller's [`VisitTally`] (merge them with
+/// [`AdaptiveState::absorb`] once the view is dropped).
+#[derive(Debug)]
+pub struct SharedColumns<'a, T> {
+    data: *mut T,
+    rows: usize,
+    cols: usize,
+    /// Version counters and pair cache, `None` without adaptive state.
+    adaptive: Option<(*mut u32, *mut PairVisit<T>)>,
+    threshold: T,
+    _borrow: PhantomData<(&'a mut Matrix<T>, &'a mut AdaptiveState<T>)>,
+}
+
+// SAFETY: the view is a pair of exclusive borrows; sharing it across
+// threads is sound under the matching invariant that `visit` demands.
+unsafe impl<T: Send> Send for SharedColumns<'_, T> {}
+// SAFETY: as above — concurrent visits touch disjoint memory.
+unsafe impl<T: Send> Sync for SharedColumns<'_, T> {}
+
+impl<'a, T: Real> SharedColumns<'a, T> {
+    /// Opens `m` (and `state`, sized for `m`) for shared visits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was built for a different column count.
+    pub fn new(m: &'a mut Matrix<T>, state: Option<&'a mut AdaptiveState<T>>) -> Self {
+        let (rows, cols) = (m.rows(), m.cols());
+        let threshold = state.as_ref().map_or(T::ZERO, |s| s.threshold);
+        let adaptive = state.map(|s| {
+            assert_eq!(
+                s.col_version.len(),
+                cols,
+                "adaptive state sized for another matrix"
+            );
+            (s.col_version.as_mut_ptr(), s.cache.as_mut_ptr())
+        });
+        SharedColumns {
+            data: m.as_mut_slice().as_mut_ptr(),
+            rows,
+            cols,
+            adaptive,
+            threshold,
+            _borrow: PhantomData,
         }
-        conv
+    }
+
+    /// The rotation threshold visits gate at (`0` without adaptive
+    /// state).
+    pub fn threshold(&self) -> T {
+        self.threshold
+    }
+
+    /// Visits the column pair `(u, v)` and returns its exact Eq. (6)
+    /// measure (see the type docs for what it does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u == v` or either index is out of range.
+    ///
+    /// # Safety
+    ///
+    /// No other visit on this view may run concurrently on column `u` or
+    /// column `v` (the matching invariant).
+    #[inline]
+    pub unsafe fn visit(&self, u: usize, v: usize, floor_sq: T, tally: &mut VisitTally) -> T {
+        assert!(
+            u != v && u < self.cols && v < self.cols,
+            "column pair ({u}, {v}) invalid for {} columns",
+            self.cols
+        );
+        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+        // SAFETY: `u` and `v` are distinct in-range columns, so the two
+        // slices, the two counters and the cache entry are disjoint and
+        // in bounds; the caller guarantees no concurrent visit touches
+        // them, so these are the only live references.
+        unsafe {
+            let x = std::slice::from_raw_parts_mut(self.data.add(u * self.rows), self.rows);
+            let y = std::slice::from_raw_parts_mut(self.data.add(v * self.rows), self.rows);
+            match self.adaptive {
+                None => orthogonalize_pair_gated(x, y, floor_sq),
+                Some((versions, cache)) => visit_pair(
+                    x,
+                    y,
+                    &mut *versions.add(lo),
+                    &mut *versions.add(hi),
+                    &mut *cache.add(pair_id(lo, hi)),
+                    self.threshold,
+                    floor_sq,
+                    tally,
+                ),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rotation::orthogonalize_pair_gated;
 
     fn test_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
@@ -333,5 +495,54 @@ mod tests {
         // The rotation fired, so the pair is now (nearly) orthogonal.
         let conv3 = state.visit(&mut m, 0, 1, 0.0);
         assert!(conv3 < conv2);
+    }
+
+    /// Visits through a shared view, split across two threads by a
+    /// matching, equal the serial state visits bit for bit.
+    #[test]
+    fn shared_view_matches_serial_visits_across_threads() {
+        let seeded = test_matrix(16, 8, 9);
+        let mut serial = seeded.cast::<f32>();
+        let mut shared = serial.clone();
+        let mut serial_state = AdaptiveState::<f32>::new(8);
+        let mut shared_state = AdaptiveState::<f32>::new(8);
+        let rounds = crate::jacobi::round_robin_rounds(8);
+        for sweep in 0..4 {
+            let threshold = if sweep == 0 { 0.0 } else { 1e-3 };
+            serial_state.set_threshold(threshold);
+            shared_state.set_threshold(threshold);
+            for round in &rounds {
+                for &(u, v) in round {
+                    serial_state.visit(&mut serial, u, v, 0.0);
+                }
+            }
+            let view = SharedColumns::new(&mut shared, Some(&mut shared_state));
+            let mut tallies = [VisitTally::default(); 2];
+            for round in &rounds {
+                let (front, back) = round.split_at(round.len() / 2);
+                std::thread::scope(|s| {
+                    for (half, tally) in [front, back].into_iter().zip(tallies.iter_mut()) {
+                        let view = &view;
+                        s.spawn(move || {
+                            for &(u, v) in half {
+                                // SAFETY: a round is a matching, so the two
+                                // halves visit disjoint columns.
+                                unsafe { view.visit(u, v, 0.0, tally) };
+                            }
+                        });
+                    }
+                });
+            }
+            for tally in tallies {
+                shared_state.absorb(tally);
+            }
+        }
+        assert_eq!(serial.as_slice(), shared.as_slice());
+        assert_eq!(serial_state.memo_skips(), shared_state.memo_skips());
+        assert_eq!(
+            serial_state.gated_rotations(),
+            shared_state.gated_rotations()
+        );
+        assert!(shared_state.memo_skips() + shared_state.gated_rotations() > 0);
     }
 }

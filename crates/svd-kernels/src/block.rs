@@ -89,11 +89,21 @@ pub struct BlockPairSchedule {
 
 impl BlockPairSchedule {
     /// Builds the round-robin schedule for `num_blocks` blocks.
+    ///
+    /// Every round is a matching (no block appears twice in it): the
+    /// round-parallel sweep of the accelerator runs a round's passes on
+    /// two threads and relies on this for memory safety.
     pub fn round_robin(num_blocks: usize) -> Self {
-        BlockPairSchedule {
-            rounds: round_robin_rounds(num_blocks),
-            num_blocks,
-        }
+        let rounds = round_robin_rounds(num_blocks);
+        debug_assert!(
+            rounds.iter().all(|round| {
+                let mut blocks: Vec<usize> = round.iter().flat_map(|&(u, v)| [u, v]).collect();
+                blocks.sort_unstable();
+                blocks.windows(2).all(|w| w[0] != w[1])
+            }),
+            "a round-robin round repeats a block"
+        );
+        BlockPairSchedule { rounds, num_blocks }
     }
 
     /// Rounds of disjoint block pairs.
